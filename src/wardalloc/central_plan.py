@@ -8,7 +8,8 @@ for greedy solutions, and a CPLEX-LP model export."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -61,22 +62,15 @@ class ExcellenceSet:
                     f"excellence pair ({q!r}, {r!r}) is not in the instance"
                 )
 
+    def _indices(self, inst: ScenarioInstance) -> list[tuple[int, int]]:
+        """Members as sorted (hospital index, ward index) pairs."""
+        return sorted((inst.hospital_index(q), inst.ward_index(r)) for q, r in self.members)
+
     def sorted_members(self, inst: ScenarioInstance) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            sorted(
-                self.members,
-                key=lambda p: (inst.hospital_index(p[0]), inst.ward_index(p[1])),
-            )
-        )
+        return tuple((inst.hospitals[qi], inst.wards[ri]) for qi, ri in self._indices(inst))
 
     def cost(self, inst: ScenarioInstance) -> Fraction:
-        return sum(
-            (
-                inst.excel_cost[inst.hospital_index(q)][inst.ward_index(r)]
-                for q, r in self.members
-            ),
-            Fraction(0),
-        )
+        return sum((inst.excel_cost[qi][ri] for qi, ri in self._indices(inst)), Fraction(0))
 
 
 EMPTY_EXCELLENCE = ExcellenceSet(frozenset())
@@ -121,12 +115,44 @@ def admissible(excellence: ExcellenceSet, inst: ScenarioInstance) -> bool:
     return excellence.cost(inst) <= inst.budget
 
 
+def _outside_costs(inst: ScenarioInstance) -> list[Fraction]:
+    """Per-cell cost with every patient treated outside, by cell position."""
+    return [inst.out_cost[d][r] for d, r, _ in inst._cell_index]
+
+
+def _patient_cost(inst: ScenarioInstance, current: list[Fraction]) -> Fraction:
+    return sum(
+        (count * c for (_, _, count), c in zip(inst._cell_index, current)), Fraction(0)
+    )
+
+
+def _improvements(inst: ScenarioInstance, current: list[Fraction], qi: int, ri: int):
+    """The destination rule of evaluate_Z for one upgrade (qi, ri): the cells
+    of ward ri whose internal cost at hospital qi is strictly below their
+    current cost, as (cell position, internal cost) pairs, and the patient
+    cost saved by moving them there."""
+    nq = inst.num_hospitals
+    cells = inst._cell_index
+    taken = []
+    saving = Fraction(0)
+    for pos in range(ri * nq, (ri + 1) * nq):  # cells are ward-major
+        d, _, count = cells[pos]
+        c_in = inst.internal_cost[d][qi][ri]
+        if c_in < current[pos]:
+            taken.append((pos, c_in))
+            saving += count * (current[pos] - c_in)
+    return taken, saving
+
+
 def evaluate_Z(excellence: ExcellenceSet, inst: ScenarioInstance) -> PlanSolution:
     """Cost of an admissible excellence set with each cell sent to its
     cheapest destination.
 
     Cells may go to a hospital excellent in their own ward type or outside.
-    Cost ties prefer OUTSIDE, then the lowest hospital index.
+    This is the destination rule every solver follows: each cell starts
+    outside, and the upgrades are taken in hospital-index order, each moving
+    a cell only when its internal cost is strictly below the cell's current
+    cost. So cost ties prefer OUTSIDE, then the lowest hospital index.
     """
     excellence.validate_against(inst)
     excel_part = excellence.cost(inst)
@@ -134,44 +160,37 @@ def evaluate_Z(excellence: ExcellenceSet, inst: ScenarioInstance) -> PlanSolutio
         raise BudgetExceededError(
             f"excellence cost {excel_part} exceeds budget {inst.budget}"
         )
-    by_ward: dict[int, list[int]] = {}
-    for q, r in excellence.members:
-        by_ward.setdefault(inst.ward_index(r), []).append(inst.hospital_index(q))
-    for qs in by_ward.values():
-        qs.sort()
-    patient_part = Fraction(0)
-    destinations = {}
-    for cell in inst.demand_cells():
-        d = inst.hospital_index(cell.district)
-        r = inst.ward_index(cell.ward)
-        best_cost = inst.out_cost[d][r]
-        best_dest = OUTSIDE
-        for qi in by_ward.get(r, ()):
-            c = inst.internal_cost[d][qi][r]
-            if c < best_cost:
-                best_cost = c
-                best_dest = (inst.hospitals[qi], cell.ward)
-        patient_part += cell.count * best_cost
-        destinations[cell] = best_dest
+    current = _outside_costs(inst)
+    destinations = [OUTSIDE] * len(current)
+    for qi, ri in excellence._indices(inst):
+        for pos, c_in in _improvements(inst, current, qi, ri)[0]:
+            current[pos] = c_in
+            destinations[pos] = (inst.hospitals[qi], inst.wards[ri])
+    patient_part = _patient_cost(inst, current)
     return PlanSolution(
         excellence=excellence,
-        assignment=Assignment(destinations=destinations),
+        assignment=Assignment(destinations=dict(zip(inst.demand_cells(), destinations))),
         z_value=excel_part + patient_part,
         excel_cost_part=excel_part,
         patient_cost_part=patient_part,
     )
 
 
-def _cell_table(inst: ScenarioInstance):
-    """Demand cells as index triples plus a ward -> cell positions map."""
-    cells = []
-    by_ward: dict[int, list[int]] = {}
-    for pos, cell in enumerate(inst.demand_cells()):
-        d = inst.hospital_index(cell.district)
-        r = inst.ward_index(cell.ward)
-        cells.append((d, r, cell.count))
-        by_ward.setdefault(r, []).append(pos)
-    return cells, by_ward
+def _checked_solution(
+    inst: ScenarioInstance, chosen, z_value: Fraction, trace=()
+) -> PlanSolution:
+    """evaluate_Z of the chosen (hospital index, ward index) pairs, checked
+    against the z_value a solver's own bookkeeping reached."""
+    excellence = ExcellenceSet.of(
+        (inst.hospitals[qi], inst.wards[ri]) for qi, ri in chosen
+    )
+    solution = evaluate_Z(excellence, inst)
+    if solution.z_value != z_value:
+        raise AssertionError(
+            "solver bookkeeping diverged from evaluation: "
+            f"{solution.z_value} != {z_value}"
+        )
+    return replace(solution, trace=tuple(trace))
 
 
 def greedy_solve(inst: ScenarioInstance) -> PlanSolution:
@@ -180,14 +199,11 @@ def greedy_solve(inst: ScenarioInstance) -> PlanSolution:
     Each step adds the pair whose addition gives the lowest resulting cost,
     ties broken by (hospital index, ward index); stops when nothing fits the
     budget, nothing strictly improves, or every pair is already in. Elements
-    are never removed once inserted.
+    are never removed once inserted. Cells follow evaluate_Z's rule.
     """
     nq, nr = inst.num_hospitals, inst.num_wards
-    cells, by_ward = _cell_table(inst)
-    current = [inst.out_cost[d][r] for d, r, _ in cells]
-    z_current = sum(
-        (count * c for (_, _, count), c in zip(cells, current)), Fraction(0)
-    )
+    current = _outside_costs(inst)
+    z_current = _patient_cost(inst, current)
     chosen: set[tuple[int, int]] = set()
     spent = Fraction(0)
     trace = []
@@ -200,12 +216,7 @@ def greedy_solve(inst: ScenarioInstance) -> PlanSolution:
                 price = inst.excel_cost[qi][ri]
                 if spent + price > inst.budget:
                     continue
-                saving = Fraction(0)
-                for pos in by_ward.get(ri, ()):
-                    d, _, count = cells[pos]
-                    c_in = inst.internal_cost[d][qi][ri]
-                    if c_in < current[pos]:
-                        saving += count * (current[pos] - c_in)
+                _, saving = _improvements(inst, current, qi, ri)
                 key = (z_current + price - saving, qi, ri)
                 if best is None or key < best:
                     best = key
@@ -216,11 +227,8 @@ def greedy_solve(inst: ScenarioInstance) -> PlanSolution:
             break
         chosen.add((qi, ri))
         spent += inst.excel_cost[qi][ri]
-        for pos in by_ward.get(ri, ()):
-            d, _, _ = cells[pos]
-            c_in = inst.internal_cost[d][qi][ri]
-            if c_in < current[pos]:
-                current[pos] = c_in
+        for pos, c_in in _improvements(inst, current, qi, ri)[0]:
+            current[pos] = c_in
         trace.append(
             GreedyStep(
                 added=(inst.hospitals[qi], inst.wards[ri]),
@@ -229,23 +237,7 @@ def greedy_solve(inst: ScenarioInstance) -> PlanSolution:
             )
         )
         z_current = z_new
-    excellence = ExcellenceSet.of(
-        (inst.hospitals[qi], inst.wards[ri]) for qi, ri in chosen
-    )
-    solution = evaluate_Z(excellence, inst)
-    if solution.z_value != z_current:
-        raise AssertionError(
-            "greedy bookkeeping diverged from evaluation: "
-            f"{solution.z_value} != {z_current}"
-        )
-    return PlanSolution(
-        excellence=solution.excellence,
-        assignment=solution.assignment,
-        z_value=solution.z_value,
-        excel_cost_part=solution.excel_cost_part,
-        patient_cost_part=solution.patient_cost_part,
-        trace=tuple(trace),
-    )
+    return _checked_solution(inst, chosen, z_current, trace)
 
 
 def exact_solve(inst: ScenarioInstance) -> PlanSolution:
@@ -253,7 +245,7 @@ def exact_solve(inst: ScenarioInstance) -> PlanSolution:
 
     Supersets of budget-infeasible sets are pruned. Ties prefer fewer members,
     then the lexicographically smallest member list. Guarded to
-    |Q| * |R| <= 24.
+    |Q| * |R| <= 24. Cells follow evaluate_Z's rule.
     """
     nq, nr = inst.num_hospitals, inst.num_wards
     n = nq * nr
@@ -263,60 +255,35 @@ def exact_solve(inst: ScenarioInstance) -> PlanSolution:
             f"{EXACT_ENUMERATION_CAP}"
         )
     pairs = [(qi, ri) for qi in range(nq) for ri in range(nr)]
-    cells, by_ward = _cell_table(inst)
-    current = [inst.out_cost[d][r] for d, r, _ in cells]
-    patient = sum((count * c for (_, _, count), c in zip(cells, current)), Fraction(0))
-    budget = inst.budget
+    current = _outside_costs(inst)
+    chosen = []
+    best = None  # (z, member count, member tuple)
 
-    state = {
-        "spent": Fraction(0),
-        "patient": patient,
-        "chosen": [],
-        "best": None,  # (z, member count, member tuple)
-    }
-
-    def visit(i: int) -> None:
+    def visit(i: int, spent: Fraction, patient: Fraction) -> None:
+        nonlocal best
         if i == len(pairs):
-            z = state["spent"] + state["patient"]
-            key = (z, len(state["chosen"]), tuple(state["chosen"]))
-            if state["best"] is None or key < state["best"]:
-                state["best"] = key
+            key = (spent + patient, len(chosen), tuple(chosen))
+            if best is None or key < best:
+                best = key
             return
-        visit(i + 1)  # exclude pairs[i]
+        visit(i + 1, spent, patient)  # exclude pairs[i]
         qi, ri = pairs[i]
         price = inst.excel_cost[qi][ri]
-        if state["spent"] + price > budget:
+        if spent + price > inst.budget:
             return  # every superset is infeasible too
-        undo = []
-        for pos in by_ward.get(ri, ()):
-            d, _, count = cells[pos]
-            c_in = inst.internal_cost[d][qi][ri]
-            if c_in < current[pos]:
-                undo.append((pos, current[pos]))
-                state["patient"] -= count * (current[pos] - c_in)
-                current[pos] = c_in
-        state["spent"] += price
-        state["chosen"].append((qi, ri))
-        visit(i + 1)
-        state["chosen"].pop()
-        state["spent"] -= price
+        taken, saving = _improvements(inst, current, qi, ri)
+        undo = [(pos, current[pos]) for pos, _ in taken]
+        for pos, c_in in taken:
+            current[pos] = c_in
+        chosen.append((qi, ri))
+        visit(i + 1, spent + price, patient - saving)
+        chosen.pop()
         for pos, old in undo:
-            d, _, count = cells[pos]
-            state["patient"] += count * (old - current[pos])
             current[pos] = old
 
-    visit(0)
-    _, _, members = state["best"]
-    excellence = ExcellenceSet.of(
-        (inst.hospitals[qi], inst.wards[ri]) for qi, ri in members
-    )
-    solution = evaluate_Z(excellence, inst)
-    if solution.z_value != state["best"][0]:
-        raise AssertionError(
-            "exact enumeration diverged from evaluation: "
-            f"{solution.z_value} != {state['best'][0]}"
-        )
-    return solution
+    visit(0, Fraction(0), _patient_cost(inst, current))
+    z, _, members = best
+    return _checked_solution(inst, members, z)
 
 
 def ward_order(inst: ScenarioInstance) -> tuple[str, ...]:
@@ -331,7 +298,7 @@ def ward_order(inst: ScenarioInstance) -> tuple[str, ...]:
 def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str, ...]:
     """Hospitals by convenience: iteratively append the hospital whose
     addition to the excellent-in-one-ward set lowers that ward's patient cost
-    the most (ties by hospital index).
+    the most (ties by hospital index); cells follow evaluate_Z's rule.
 
     Requires ward-independent internal costs and a uniform upgrade cost; with
     the uniform upgrade cost the upgrade part cancels in every comparison, so
@@ -352,32 +319,15 @@ def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str
             f"(assumption 5): {a5.violations[0]}"
         )
     ri = inst.ward_index(ward) if ward is not None else 0
-    counts = {}
-    for cell in inst.demand_cells():
-        if inst.ward_index(cell.ward) == ri:
-            counts[inst.hospital_index(cell.district)] = cell.count
-    current = {d: inst.out_cost[d][ri] for d in range(inst.num_hospitals)}
+    current = _outside_costs(inst)
     remaining = list(range(inst.num_hospitals))
     order = []
     while remaining:
-        best = None
-        for qi in remaining:
-            score = sum(
-                (
-                    counts[d] * min(current[d], inst.internal_cost[d][qi][ri])
-                    for d in current
-                ),
-                Fraction(0),
-            )
-            if best is None or (score, qi) < best:
-                best = (score, qi)
-        _, qi = best
+        _, qi = min((-_improvements(inst, current, q, ri)[1], q) for q in remaining)
         remaining.remove(qi)
         order.append(qi)
-        for d in current:
-            c = inst.internal_cost[d][qi][ri]
-            if c < current[d]:
-                current[d] = c
+        for pos, c_in in _improvements(inst, current, qi, ri)[0]:
+            current[pos] = c_in
     return tuple(inst.hospitals[qi] for qi in order)
 
 
@@ -450,11 +400,14 @@ def export_ilp(
     hospital) internal placement of the cell's own ward type, and one binary
     per cell for the outside option. Constraints: one destination per cell,
     internal placement only at upgraded hospitals, upgrades within budget.
+    The budget row and its right-hand side are multiplied by the least common
+    multiple of their denominators, so they are written as exact integers;
+    non-integral objective coefficients are written as decimal floats.
     forced_excellence pins those y variables to 1 via the bounds section
     (fix-and-solve cross checks).
     """
     nq, nr = inst.num_hospitals, inst.num_wards
-    cells = inst.demand_cells()
+    cells = inst._cell_index
 
     def y(qi, ri):
         return f"y_{qi}_{ri}"
@@ -469,16 +422,10 @@ def export_ilp(
     for qi in range(nq):
         for ri in range(nr):
             obj_terms.append((inst.excel_cost[qi][ri], y(qi, ri)))
-    cell_indices = []
-    for cell in cells:
-        di = inst.hospital_index(cell.district)
-        ri = inst.ward_index(cell.ward)
-        cell_indices.append((di, ri, cell.count))
+    for di, ri, count in cells:
         for qi in range(nq):
-            obj_terms.append(
-                (cell.count * inst.internal_cost[di][qi][ri], x(di, ri, qi))
-            )
-        obj_terms.append((cell.count * inst.out_cost[di][ri], xout(di, ri)))
+            obj_terms.append((count * inst.internal_cost[di][qi][ri], x(di, ri, qi)))
+        obj_terms.append((count * inst.out_cost[di][ri], xout(di, ri)))
 
     lines = ["Minimize"]
     expr = _lp_expr(obj_terms, y(0, 0))
@@ -486,33 +433,38 @@ def export_ilp(
     lines.extend(expr[1:])
 
     lines.append("Subject To")
-    for di, ri, _ in cell_indices:
+    for di, ri, _ in cells:
         vars_ = [xout(di, ri)] + [x(di, ri, qi) for qi in range(nq)]
         lines.append(f" assign_{di}_{ri}: " + " + ".join(vars_) + " = 1")
-    for di, ri, _ in cell_indices:
+    for di, ri, _ in cells:
         for qi in range(nq):
             lines.append(
                 f" link_{di}_{ri}_{qi}: {x(di, ri, qi)} - {y(qi, ri)} <= 0"
             )
+    scale = math.lcm(
+        inst.budget.denominator, *(c.denominator for row in inst.excel_cost for c in row)
+    )
     budget_terms = [
-        (inst.excel_cost[qi][ri], y(qi, ri)) for qi in range(nq) for ri in range(nr)
+        (scale * inst.excel_cost[qi][ri], y(qi, ri))
+        for qi in range(nq)
+        for ri in range(nr)
     ]
     expr = _lp_expr(budget_terms, y(0, 0))
     budget_lines = [" budget:" + expr[0]] + expr[1:]
-    budget_lines[-1] += f" <= {_lp_num(inst.budget)}"
+    budget_lines[-1] += f" <= {_lp_num(scale * inst.budget)}"
     lines.extend(budget_lines)
 
     lines.append("Bounds")
     if forced_excellence is not None:
         forced_excellence.validate_against(inst)
-        for q, r in forced_excellence.sorted_members(inst):
-            lines.append(f" {y(inst.hospital_index(q), inst.ward_index(r))} = 1")
+        for qi, ri in forced_excellence._indices(inst):
+            lines.append(f" {y(qi, ri)} = 1")
 
     lines.append("Binary")
     for qi in range(nq):
         for ri in range(nr):
             lines.append(f" {y(qi, ri)}")
-    for di, ri, _ in cell_indices:
+    for di, ri, _ in cells:
         for qi in range(nq):
             lines.append(f" {x(di, ri, qi)}")
         lines.append(f" {xout(di, ri)}")

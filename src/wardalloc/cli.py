@@ -81,25 +81,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", "-i", required=True, help="scenario JSON file")
+    def add_common(p, default_format="text"):
         p.add_argument(
             "--output",
             "-o",
             help=(
-                "report file; stdout when omitted. A relative path is joined "
+                "output file; stdout when omitted. A relative path is joined "
                 f"with ${ENV_OUTPUT_DIR} when that is set."
             ),
         )
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default=default_format)
         p.add_argument("--verbose", "-v", action="count", default=0)
 
-    add_common(sub.add_parser("check", help="run the five assumption checkers"))
-    add_common(sub.add_parser("local", help="local-financing equilibrium analysis"))
-    add_common(sub.add_parser("central-greedy", help="greedy central plan"))
-    add_common(sub.add_parser("central-exact", help="exhaustive central plan"))
-    add_common(sub.add_parser("compare", help="run both regimes and compare"))
+    for command, help_text in (
+        ("check", "run the five assumption checkers"),
+        ("local", "local-financing equilibrium analysis"),
+        ("central-greedy", "greedy central plan"),
+        ("central-exact", "exhaustive central plan"),
+        ("compare", "run both regimes and compare"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--input", "-i", required=True, help="scenario JSON file")
+        add_common(p)
 
     gen = sub.add_parser("gen", help="generate a seeded scenario file")
     gen.add_argument("--seed", type=int, required=True)
@@ -107,9 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--profile", choices=scenario.PROFILES, default=scenario.PROFILE_UNCONSTRAINED
     )
-    gen.add_argument("--output", "-o", help="scenario file; stdout when omitted")
-    gen.add_argument("--format", choices=("text", "json"), default="json")
-    gen.add_argument("--verbose", "-v", action="count", default=0)
+    add_common(gen, default_format="json")
 
     return parser
 
@@ -148,11 +149,6 @@ def _emit(text: str, path: str | None) -> None:
         with open(resolved, "w", encoding="utf-8") as fh:
             fh.write(text)
         log.info("wrote %s", resolved)
-
-
-def _fr(x: Fraction) -> str:
-    # display form: "250" or "3/4", unlike the canonical "num/den" in JSON
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +190,12 @@ def _check_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _local_analysis(inst):
+def _local_report(inst) -> dict:
     tensor = local_game.build_payoff_tensor(inst)
     eq = local_game.enumerate_pure_nash(tensor)
-    a1 = scenario.check_assumption1(inst)
-    verdict = local_game.DiversificationVerdict(
-        assumption1_holds=a1.holds,
-        has_uniform_ne=bool(eq.uniform_equilibria),
-        has_diversified_ne=bool(eq.diversified_equilibria),
-    )
-    return tensor, eq, verdict
-
-
-def _local_report(inst) -> dict:
-    tensor, eq, verdict = _local_analysis(inst)
+    verdict = local_game.diversification_verdict(inst, eq)
     doc = local_game.equilibrium_report_to_dict(tensor, eq, verdict)
-    doc = {"command": "local", **doc}
-    return doc
+    return {"command": "local", **doc}
 
 
 def _bimatrix_text(report: dict) -> str:
@@ -227,9 +212,7 @@ def _bimatrix_text(report: dict) -> str:
         row = [f"{h1}: {s1}"]
         for s2 in strategies:
             payoffs = table[(s1, s2)]
-            row.append(
-                f"{_fr(Fraction(payoffs[h1]))}, {_fr(Fraction(payoffs[h2]))}"
-            )
+            row.append(f"{Fraction(payoffs[h1])}, {Fraction(payoffs[h2])}")
         rows.append(row)
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     lines = [
@@ -248,7 +231,7 @@ def _local_text(report: dict) -> str:
         for entry in report["equilibria"]:
             choice = ", ".join(f"{h} -> {w}" for h, w in entry["profile"].items())
             values = ", ".join(
-                _fr(Fraction(entry["payoffs"][h])) for h in report["hospitals"]
+                str(Fraction(entry["payoffs"][h])) for h in report["hospitals"]
             )
             lines.append(f"  {choice}   payoffs: {values}")
     else:
@@ -266,11 +249,10 @@ def _local_text(report: dict) -> str:
 
 def _staircase_info(inst, solution):
     """Staircase verdict for a greedy solution, when the orders exist."""
-    if not scenario.check_assumption4(inst).holds:
+    try:
+        orders = central_plan.total_orders(inst)
+    except AssumptionViolationError:
         return None, None
-    if not scenario.check_assumption5(inst).holds:
-        return None, None
-    orders = central_plan.total_orders(inst)
     return central_plan.check_staircase(solution, orders), orders
 
 
@@ -292,7 +274,7 @@ def _plan_text(report: dict) -> str:
     z = Fraction(report["z_value"])
     ec = Fraction(report["excel_cost_part"])
     pc = Fraction(report["patient_cost_part"])
-    lines.append(f"z = {_fr(z)} (upgrades {_fr(ec)} + patients {_fr(pc)})")
+    lines.append(f"z = {z} (upgrades {ec} + patients {pc})")
     if report["trace"]:
         lines.append("greedy trace:")
         for step in report["trace"]:
@@ -300,8 +282,8 @@ def _plan_text(report: dict) -> str:
                 "  + ({h}, {w}): z {b} -> {a}".format(
                     h=step["added"]["hospital"],
                     w=step["added"]["ward"],
-                    b=_fr(Fraction(step["z_before"])),
-                    a=_fr(Fraction(step["z_after"])),
+                    b=Fraction(step["z_before"]),
+                    a=Fraction(step["z_after"]),
                 )
             )
     inside = sum(
@@ -323,9 +305,10 @@ def _plan_text(report: dict) -> str:
 def _compare_report(inst) -> dict:
     local = _local_report(inst)
     central = _plan_report(inst, "central-greedy")
-    diversified = bool(local["diversified_equilibria"]) and not local[
-        "uniform_equilibria"
-    ]
+    verdict = local["diversification"]
+    diversified = (
+        verdict["has_diversified_equilibrium"] and not verdict["has_uniform_equilibrium"]
+    )
     wards_per_hospital = {h: 0 for h in inst.hospitals}
     for m in central["excellence"]:
         wards_per_hospital[m["hospital"]] += 1

@@ -79,6 +79,18 @@ class PayoffTensor:
             yield StrategyProfile(hospitals=self.hospitals, wards=key)
 
 
+def _split(inst: ScenarioInstance, choice: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """Payoffs of one joint choice given as ward indices: hospitals that pick
+    the same ward split its group in proportion to their populations."""
+    pop = inst.population
+    chooser_pop = {}
+    for qi, ri in enumerate(choice):
+        chooser_pop[ri] = chooser_pop.get(ri, Fraction(0)) + pop[qi]
+    return tuple(
+        inst.group_sizes[ri] * pop[qi] / chooser_pop[ri] for qi, ri in enumerate(choice)
+    )
+
+
 def payoff(inst: ScenarioInstance, profile: StrategyProfile) -> tuple[Fraction, ...]:
     """Patient capture for one joint choice.
 
@@ -91,14 +103,7 @@ def payoff(inst: ScenarioInstance, profile: StrategyProfile) -> tuple[Fraction, 
     for w in profile.wards:
         if w not in inst.wards:
             raise InvalidInstanceError(f"profile chooses unknown ward {w!r}")
-    result = []
-    for qi, r in enumerate(profile.wards):
-        size = inst.group_sizes[inst.ward_index(r)]
-        chooser_pop = sum(
-            inst.population[j] for j, other in enumerate(profile.wards) if other == r
-        )
-        result.append(Fraction(size) * inst.population[qi] / chooser_pop)
-    return tuple(result)
+    return _split(inst, tuple(inst.ward_index(w) for w in profile.wards))
 
 
 def build_payoff_tensor(inst: ScenarioInstance) -> PayoffTensor:
@@ -109,18 +114,11 @@ def build_payoff_tensor(inst: ScenarioInstance) -> PayoffTensor:
             f"{count} joint profiles exceed the enumeration guard of "
             f"{PROFILE_ENUMERATION_CAP}"
         )
-    sizes = [Fraction(s) for s in inst.group_sizes]
-    pop = inst.population
     ward_ids = inst.wards
-    payoffs: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
-    for combo in itertools.product(range(inst.num_wards), repeat=inst.num_hospitals):
-        chooser_pop = {}
-        for qi, ri in enumerate(combo):
-            chooser_pop[ri] = chooser_pop.get(ri, Fraction(0)) + pop[qi]
-        values = tuple(
-            sizes[ri] * pop[qi] / chooser_pop[ri] for qi, ri in enumerate(combo)
-        )
-        payoffs[tuple(ward_ids[ri] for ri in combo)] = values
+    payoffs = {
+        tuple(ward_ids[ri] for ri in combo): _split(inst, combo)
+        for combo in itertools.product(range(inst.num_wards), repeat=inst.num_hospitals)
+    }
     return PayoffTensor(hospitals=inst.hospitals, strategies=ward_ids, payoffs=payoffs)
 
 
@@ -183,9 +181,14 @@ class DiversificationVerdict:
         return not self.has_uniform_ne and self.has_diversified_ne
 
 
-def diversification_verdict(inst: ScenarioInstance) -> DiversificationVerdict:
+def diversification_verdict(
+    inst: ScenarioInstance, eq: EquilibriumReport | None = None
+) -> DiversificationVerdict:
+    """Verdict for the instance; eq, when given, is its equilibrium report
+    and is not computed again."""
     report = check_assumption1(inst)
-    eq = enumerate_pure_nash(build_payoff_tensor(inst))
+    if eq is None:
+        eq = enumerate_pure_nash(build_payoff_tensor(inst))
     return DiversificationVerdict(
         assumption1_holds=report.holds,
         has_uniform_ne=bool(eq.uniform_equilibria),

@@ -50,20 +50,35 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _coerce_rational_vector(values, name):
-    return tuple(parse_rational(v, f"{name}[{i}]") for i, v in enumerate(values))
-
-
-def _coerce_rational_matrix(rows, name):
+def _coerce_rationals(values, name: str, depth: int):
+    """Nested tuples of rationals from lists nested `depth` levels deep; a
+    level that is not a list raises an invalid-instance error naming it."""
+    if not isinstance(values, (list, tuple)):
+        raise InvalidInstanceError(
+            f"{name}: expected a list, got {type(values).__name__}"
+        )
+    if depth == 1:
+        return tuple(parse_rational(v, f"{name}[{i}]") for i, v in enumerate(values))
     return tuple(
-        _coerce_rational_vector(row, f"{name}[{i}]") for i, row in enumerate(rows)
+        _coerce_rationals(v, f"{name}[{i}]", depth - 1) for i, v in enumerate(values)
     )
 
 
-def _coerce_rational_cube(planes, name):
-    return tuple(
-        _coerce_rational_matrix(plane, f"{name}[{i}]") for i, plane in enumerate(planes)
-    )
+def _check_population(population) -> None:
+    if any(a <= 0 for a in population):
+        raise InvalidInstanceError("population: every fraction must be strictly positive")
+    if sum(population) != 1:
+        raise InvalidInstanceError(
+            f"population: fractions must sum to exactly 1, got {sum(population)}"
+        )
+
+
+def _check_group_sizes(group_sizes) -> None:
+    for i, s in enumerate(group_sizes):
+        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
+            raise InvalidInstanceError(
+                f"group_sizes[{i}]: must be a non-negative integer, got {s!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -111,19 +126,19 @@ class ScenarioInstance:
         object.__setattr__(self, "hospitals", tuple(self.hospitals))
         object.__setattr__(self, "wards", tuple(self.wards))
         object.__setattr__(
-            self, "population", _coerce_rational_vector(self.population, "population")
+            self, "population", _coerce_rationals(self.population, "population", 1)
         )
         object.__setattr__(self, "group_sizes", tuple(self.group_sizes))
         object.__setattr__(
-            self, "excel_cost", _coerce_rational_matrix(self.excel_cost, "excel_cost")
+            self, "excel_cost", _coerce_rationals(self.excel_cost, "excel_cost", 2)
         )
         object.__setattr__(
             self,
             "internal_cost",
-            _coerce_rational_cube(self.internal_cost, "internal_cost"),
+            _coerce_rationals(self.internal_cost, "internal_cost", 3),
         )
         object.__setattr__(
-            self, "out_cost", _coerce_rational_matrix(self.out_cost, "out_cost")
+            self, "out_cost", _coerce_rationals(self.out_cost, "out_cost", 2)
         )
         object.__setattr__(self, "budget", parse_rational(self.budget, "budget"))
         self._validate()
@@ -143,21 +158,12 @@ class ScenarioInstance:
             raise InvalidInstanceError(
                 f"population: expected {nq} entries, got {len(self.population)}"
             )
-        if any(a <= 0 for a in self.population):
-            raise InvalidInstanceError("population: every fraction must be strictly positive")
-        if sum(self.population) != 1:
-            raise InvalidInstanceError(
-                f"population: fractions must sum to exactly 1, got {sum(self.population)}"
-            )
+        _check_population(self.population)
         if len(self.group_sizes) != nr:
             raise InvalidInstanceError(
                 f"group_sizes: expected {nr} entries, got {len(self.group_sizes)}"
             )
-        for i, s in enumerate(self.group_sizes):
-            if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-                raise InvalidInstanceError(
-                    f"group_sizes[{i}]: must be a non-negative integer, got {s!r}"
-                )
+        _check_group_sizes(self.group_sizes)
         self._check_matrix("excel_cost", self.excel_cost, nq, nr)
         if len(self.internal_cost) != nq:
             raise InvalidInstanceError(
@@ -203,15 +209,24 @@ class ScenarioInstance:
             raise InvalidInstanceError(f"unknown ward id {ward!r}") from None
 
     def demand_cells(self) -> tuple[DemandCell, ...]:
-        """Demand cells of this instance; districts are the hospital ids."""
-        return _demand_cells_cached(self)
+        """Demand cells of this instance, ward-major; districts are the
+        hospital ids. Built on first use and kept on the instance."""
+        return self._cells
 
+    @functools.cached_property
+    def _cells(self) -> tuple[DemandCell, ...]:
+        return build_demand_cells(
+            self.group_sizes, self.population, districts=self.hospitals, wards=self.wards
+        )
 
-@functools.lru_cache(maxsize=512)
-def _demand_cells_cached(inst: ScenarioInstance) -> tuple[DemandCell, ...]:
-    return build_demand_cells(
-        inst.group_sizes, inst.population, districts=inst.hospitals, wards=inst.wards
-    )
+    @functools.cached_property
+    def _cell_index(self) -> tuple[tuple[int, int, int], ...]:
+        """(district index, ward index, count) per demand cell, aligned with
+        demand_cells(); the solvers and checkers read cells through this."""
+        nq = self.num_hospitals
+        return tuple(
+            (pos % nq, pos // nq, cell.count) for pos, cell in enumerate(self._cells)
+        )
 
 
 def largest_remainder_split(total: int, shares: Sequence[Fraction]) -> list[int]:
@@ -241,20 +256,11 @@ def build_demand_cells(
     ties broken by district index, so each group's counts sum exactly to its
     size. Cells are returned ward-major ((d1,r1), (d2,r1), ..., (d1,r2), ...).
     """
-    population = _coerce_rational_vector(population, "population")
+    population = _coerce_rationals(population, "population", 1)
     if not population:
         raise InvalidInstanceError("population: need at least one district")
-    if any(a <= 0 for a in population):
-        raise InvalidInstanceError("population: every fraction must be strictly positive")
-    if sum(population) != 1:
-        raise InvalidInstanceError(
-            f"population: fractions must sum to exactly 1, got {sum(population)}"
-        )
-    for i, s in enumerate(group_sizes):
-        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-            raise InvalidInstanceError(
-                f"group_sizes[{i}]: must be a non-negative integer, got {s!r}"
-            )
+    _check_population(population)
+    _check_group_sizes(group_sizes)
     if districts is None:
         districts = tuple(f"d{i + 1}" for i in range(len(population)))
     if wards is None:
@@ -371,11 +377,9 @@ def check_assumption2(inst: ScenarioInstance) -> AssumptionReport:
             )
         )
     benefit = Fraction(0)
-    for cell in inst.demand_cells():
-        d = inst.hospital_index(cell.district)
-        r = inst.ward_index(cell.ward)
+    for d, r, count in inst._cell_index:
         for q in range(inst.num_hospitals):
-            benefit += cell.count * (inst.out_cost[d][r] - inst.internal_cost[d][q][r])
+            benefit += count * (inst.out_cost[d][r] - inst.internal_cost[d][q][r])
     total_upgrade = sum(sum(row) for row in inst.excel_cost)
     if not benefit > total_upgrade:
         violations.append(
@@ -682,7 +686,7 @@ def instance_from_dict(doc) -> ScenarioInstance:
     return ScenarioInstance(
         hospitals=tuple(doc["hospitals"]),
         wards=tuple(doc["wards"]),
-        population=tuple(doc["population"]),
+        population=doc["population"],
         group_sizes=tuple(sizes),
         excel_cost=doc["excel_cost"],
         internal_cost=doc["internal_cost"],

@@ -2,10 +2,12 @@
 
 The oracles here deliberately avoid the package's own algorithms: splits are
 checked against full enumeration, plan values against a per-cell brute force,
-and the LP export against a tiny standalone CPLEX-LP parser plus an external
+greedy plans against a step-by-step search valued by that brute force, and the
+LP export against a tiny standalone CPLEX-LP parser plus an external
 MILP solver when one is installed.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -135,6 +137,58 @@ def brute_z(inst, members):
                 options.append(inst.internal_cost[d][inst.hospital_index(q)][r])
         patient += cell.count * min(options)
     return excel + patient
+
+
+def reference_greedy(inst):
+    """Greedy trace straight from greedy_solve's definition, valued by brute_z.
+
+    Each step adds the budget-feasible pair not yet in the set whose addition
+    gives the lowest z, ties broken by (hospital index, ward index); it stops
+    when nothing fits, nothing strictly improves, or every pair is in.
+    Returns (added, z_before, z_after) triples.
+    """
+    members = []
+    spent = Fraction(0)
+    z = brute_z(inst, members)
+    trace = []
+    while True:
+        options = []
+        for qi, q in enumerate(inst.hospitals):
+            for ri, r in enumerate(inst.wards):
+                price = inst.excel_cost[qi][ri]
+                if (q, r) in members or spent + price > inst.budget:
+                    continue
+                options.append((brute_z(inst, members + [(q, r)]), qi, ri))
+        if not options:
+            return trace
+        z_new, qi, ri = min(options)
+        if not z_new < z:
+            return trace
+        added = (inst.hospitals[qi], inst.wards[ri])
+        members.append(added)
+        spent += inst.excel_cost[qi][ri]
+        trace.append((added, z, z_new))
+        z = z_new
+
+
+def tie_heavy_instance(seed):
+    """Small instance full of cost ties: internal and outside costs in 0..2,
+    one uniform upgrade cost, small groups."""
+    rng = random.Random(seed)
+    nq, nr = rng.randint(1, 3), rng.randint(1, 3)
+    weights = [rng.randint(1, 3) for _ in range(nq)]
+    upgrade = rng.randint(1, 3)
+    return make_instance(
+        [rng.randint(0, 6) for _ in range(nr)],
+        [Fraction(w, sum(weights)) for w in weights],
+        excel=[[upgrade] * nr for _ in range(nq)],
+        internal=[
+            [[rng.randint(0, 2) for _ in range(nr)] for _ in range(nq)]
+            for _ in range(nq)
+        ],
+        out=[[rng.randint(0, 2) for _ in range(nr)] for _ in range(nq)],
+        budget=upgrade * rng.randint(0, nq * nr),
+    )
 
 
 def unpruned_best(inst):

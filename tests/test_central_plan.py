@@ -6,10 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_z, make_instance, parse_lp, solve_lp_external, unpruned_best
+from conftest import (
+    brute_z,
+    make_instance,
+    parse_lp,
+    reference_greedy,
+    solve_lp_external,
+    tie_heavy_instance,
+    unpruned_best,
+)
 from wardalloc import (
     EMPTY_EXCELLENCE,
     OUTSIDE,
+    PROFILES,
     AssumptionViolationError,
     BudgetExceededError,
     ExcellenceSet,
@@ -221,6 +230,31 @@ def test_greedy_trace_is_strictly_improving():
         assert sol.z_value == brute_z(inst, sol.excellence.members)
 
 
+def greedy_trace(solution):
+    return [(step.added, step.z_before, step.z_after) for step in solution.trace]
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_greedy_matches_reference_on_generated(profile):
+    for seed in range(12):
+        for dims in ((2, 2), (2, 3), (3, 3)):
+            inst = generate_scenario(seed, dims, profile)
+            sol = greedy_solve(inst)
+            trace = reference_greedy(inst)
+            assert greedy_trace(sol) == trace
+            assert members_of(sol) == {added for added, _, _ in trace}
+
+
+def test_greedy_matches_reference_on_ties():
+    for seed in range(150):
+        inst = tie_heavy_instance(seed)
+        sol = greedy_solve(inst)
+        trace = reference_greedy(inst)
+        assert greedy_trace(sol) == trace
+        assert members_of(sol) == {added for added, _, _ in trace}
+        assert sol.z_value == (trace[-1][2] if trace else brute_z(inst, []))
+
+
 def test_greedy_never_beats_exact():
     for seed in range(40):
         inst = generate_scenario(seed, (2, 3))
@@ -232,8 +266,8 @@ def test_greedy_never_beats_exact():
 
 
 def test_exact_matches_unpruned_enumeration():
-    for seed in range(30):
-        inst = generate_scenario(seed, (2, 2))
+    generated = [generate_scenario(seed, (2, 2)) for seed in range(30)]
+    for inst in generated + [tie_heavy_instance(seed) for seed in range(60)]:
         sol = exact_solve(inst)
         z, size, indexed = unpruned_best(inst)
         assert sol.z_value == z
@@ -492,6 +526,46 @@ def test_export_fractional_coefficients_parse():
     objective, _, _, _ = parse_lp(export_ilp(inst))
     assert objective["y_0_0"] == 3.5
     assert abs(objective["x_0_0_0"] - 1.0) < 1e-12
+
+
+def budget_row(text):
+    """Coefficients and right-hand side of the exported budget row, read
+    exactly with Fraction."""
+    lines = text.splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith(" budget:"))
+    body = " ".join(lines[start : lines.index("Bounds")]).split(":", 1)[1]
+    expr, rhs = body.split("<=")
+    tokens = expr.replace("+", " ").split()
+    coefs = {var: Fraction(coef) for coef, var in zip(tokens[::2], tokens[1::2])}
+    return coefs, Fraction(rhs.strip())
+
+
+def test_export_budget_row_is_exact():
+    # costs 5/6 and budget 5/3: both upgrades fit exactly
+    inst = make_instance(
+        (6,),
+        (Fraction(1, 2), Fraction(1, 2)),
+        excel=[[Fraction(5, 6)], [Fraction(5, 6)]],
+        budget=Fraction(5, 3),
+    )
+    both = ExcellenceSet.of([("q1", "r1"), ("q2", "r1")])
+    assert admissible(both, inst)
+    coefs, rhs = budget_row(export_ilp(inst))
+    assert coefs == {"y_0_0": 5, "y_1_0": 5}
+    assert rhs == 10
+    assert coefs["y_0_0"] + coefs["y_1_0"] <= rhs
+
+
+def test_export_budget_row_scales_generated_costs():
+    for seed, profile in ((2, "assumption4&5-satisfying"), (3, "unconstrained")):
+        inst = generate_scenario(seed, (3, 3), profile)
+        coefs, rhs = budget_row(export_ilp(inst))
+        assert rhs.denominator == 1
+        assert all(c.denominator == 1 for c in coefs.values())
+        for qi in range(inst.num_hospitals):
+            for ri in range(inst.num_wards):
+                coef = coefs[f"y_{qi}_{ri}"]
+                assert coef * inst.budget == rhs * inst.excel_cost[qi][ri]
 
 
 @pytest.mark.skipif(

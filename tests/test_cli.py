@@ -2,12 +2,15 @@
 environment-variable output routing, and report stability."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wardalloc
 from conftest import make_instance
 from wardalloc import (
     build_payoff_tensor,
@@ -346,6 +349,9 @@ def test_outputs_end_with_newline(scenario_file, capsys):
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "cli.json"
+    # the child imports the package from wherever this run found it
+    source_root = str(Path(wardalloc.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (source_root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [
             sys.executable,
@@ -361,6 +367,7 @@ def test_console_script_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert load_scenario(out) == generate_scenario(2, (2, 2))

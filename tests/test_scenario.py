@@ -504,3 +504,69 @@ def test_load_rejects_non_string_ids(tmp_path):
 def test_instance_from_dict_rejects_non_object():
     with pytest.raises(InvalidInstanceError, match="object"):
         instance_from_dict([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("excel_cost", 5, "excel_cost"),
+        ("internal_cost", [[1, 2], [3, 4]], "internal_cost[0][0]"),
+        ("population", None, "population"),
+        ("out_cost", [[1, 2], 3], "out_cost[1]"),
+    ],
+)
+def test_load_rejects_wrong_nesting(field, value, named):
+    doc = instance_to_dict(generate_scenario(0, (2, 2)))
+    doc[field] = value
+    with pytest.raises(InvalidInstanceError) as caught:
+        instance_from_dict(doc)
+    assert str(caught.value).startswith(f"{named}: expected a list")
+
+
+# Any JSON value: scalars, lists and objects nested a few levels deep. Text
+# stays short, so no string spells a rational with a huge decimal exponent.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=20,
+)
+DOCUMENT_FIELDS = tuple(instance_to_dict(generate_scenario(0, (2, 2))))
+
+
+def loads_or_rejects(doc):
+    """A JSON document either becomes a usable instance or is rejected with
+    an invalid-instance error; nothing else escapes."""
+    try:
+        inst = instance_from_dict(json.loads(json.dumps(doc)))
+    except InvalidInstanceError:
+        return
+    assert sum(cell.count for cell in inst.demand_cells()) == sum(inst.group_sizes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_any_json_document_loads_or_is_rejected(doc):
+    loads_or_rejects(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(DOCUMENT_FIELDS),
+    st.lists(st.integers(0, 3), max_size=2),
+    JSON_VALUES,
+)
+def test_any_field_value_loads_or_is_rejected(field, path, value):
+    # replace one field, or one element nested inside it, by any JSON value
+    doc = instance_to_dict(generate_scenario(0, (2, 2)))
+    owner, key = doc, field
+    for index in path:
+        if not isinstance(owner[key], list) or not owner[key]:
+            break
+        owner, key = owner[key], index % len(owner[key])
+    owner[key] = value
+    loads_or_rejects(doc)
