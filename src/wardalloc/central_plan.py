@@ -2,7 +2,7 @@
 ("excellence set"), send every demand cell to its cheapest destination, and
 minimize upgrade cost plus total patient cost.
 
-Provides the greedy heuristic, an exhaustive exact solver for desk-scale
+Provides the greedy heuristic, an exact ward-by-ward solver for desk-scale
 instances, convenience orders over hospitals and wards, the staircase verdict
 for greedy solutions, and a CPLEX-LP model export."""
 
@@ -29,8 +29,8 @@ from .scenario import (
 # Destination marker for patients treated outside the system.
 OUTSIDE = "outside"
 
-# Hard cap on |Q| * |R| for the exhaustive solver (2^24 subsets).
-EXACT_ENUMERATION_CAP = 24
+# Most candidate plans exact_solve may form for a ward (plans kept x 2^|Q|).
+EXACT_ENUMERATION_CAP = 2**18
 
 
 @dataclass(frozen=True)
@@ -241,48 +241,48 @@ def greedy_solve(inst: ScenarioInstance) -> PlanSolution:
 
 
 def exact_solve(inst: ScenarioInstance) -> PlanSolution:
-    """Exhaustive optimum over all budget-admissible excellence sets.
+    """Optimum over all budget-admissible excellence sets. Ties prefer fewer
+    members, then the lexicographically smallest sorted member list.
 
-    Supersets of budget-infeasible sets are pruned. Ties prefer fewer members,
-    then the lexicographically smallest member list. Guarded to
-    |Q| * |R| <= 24. Cells follow evaluate_Z's rule.
-    """
-    nq, nr = inst.num_hospitals, inst.num_wards
-    n = nq * nr
-    if n > EXACT_ENUMERATION_CAP:
-        raise InstanceTooLargeError(
-            f"|Q|*|R| = {n} exceeds the exact enumeration cap of "
-            f"{EXACT_ENUMERATION_CAP}"
-        )
-    pairs = [(qi, ri) for qi in range(nq) for ri in range(nr)]
+    Wards share only the budget (an upgrade in ward r moves only ward-r
+    cells), so plans grow ward by ward in Nemhauser & Ullmann's Pareto merge:
+    each meets every fitting subset of the ward's upgrades and is kept only if
+    its (z, size, members) key beats every plan that spends no more. Ties
+    survive: equal-size sorted member lists compare by the smallest pair in
+    their symmetric difference, which other wards' pairs never enter. Guarded
+    by EXACT_ENUMERATION_CAP. Cells follow evaluate_Z's rule."""
+    nq = inst.num_hospitals
     current = _outside_costs(inst)
-    chosen = []
-    best = None  # (z, member count, member tuple)
-
-    def visit(i: int, spent: Fraction, patient: Fraction) -> None:
-        nonlocal best
-        if i == len(pairs):
-            key = (spent + patient, len(chosen), tuple(chosen))
-            if best is None or key < best:
-                best = key
-            return
-        visit(i + 1, spent, patient)  # exclude pairs[i]
-        qi, ri = pairs[i]
-        price = inst.excel_cost[qi][ri]
-        if spent + price > inst.budget:
-            return  # every superset is infeasible too
-        taken, saving = _improvements(inst, current, qi, ri)
-        undo = [(pos, current[pos]) for pos, _ in taken]
-        for pos, c_in in taken:
-            current[pos] = c_in
-        chosen.append((qi, ri))
-        visit(i + 1, spent + price, patient - saving)
-        chosen.pop()
-        for pos, old in undo:
-            current[pos] = old
-
-    visit(0, Fraction(0), _patient_cost(inst, current))
-    z, _, members = best
+    # plans: (spent, z, size, members); subsets: (costs, spent, z delta, members)
+    plans = [(Fraction(0), _patient_cost(inst, current), 0, ())]
+    for ri in range(inst.num_wards):
+        if len(plans) << nq > EXACT_ENUMERATION_CAP:
+            raise InstanceTooLargeError(
+                f"ward {inst.wards[ri]!r} would form {len(plans) << nq} candidate "
+                f"plans, over the exact solver's cap of {EXACT_ENUMERATION_CAP}"
+            )
+        ward = slice(ri * nq, (ri + 1) * nq)  # cells are ward-major
+        subsets = [(current[ward], Fraction(0), Fraction(0), ())]
+        for qi in range(nq):
+            price = inst.excel_cost[qi][ri]
+            for costs, s, dz, ms in list(subsets):
+                if s + price <= inst.budget:  # else no superset fits either
+                    current[ward] = costs
+                    taken, saving = _improvements(inst, current, qi, ri)
+                    for pos, c_in in taken:
+                        current[pos] = c_in
+                    grown = (s + price, dz + price - saving, ms + ((qi, ri),))
+                    subsets.append((current[ward],) + grown)
+        plans, candidates = [], sorted(
+            (spent + s, z + dz, size + len(ms), tuple(sorted(members + ms)))
+            for spent, z, size, members in plans
+            for _, s, dz, ms in subsets
+            if spent + s <= inst.budget
+        )
+        for plan in candidates:
+            if not plans or plan[1:] < plans[-1][1:]:
+                plans.append(plan)
+    _, z, _, members = plans[-1]  # keys fall as spending rises
     return _checked_solution(inst, members, z)
 
 

@@ -10,7 +10,7 @@ class InvalidInstanceError(WardallocError):
 
 
 class InstanceTooLargeError(WardallocError):
-    """An exhaustive-enumeration size guard was exceeded."""
+    """A size guard on the work or memory a run would need was exceeded."""
 
 
 class GenerationError(WardallocError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import GenerationError, InvalidInstanceError
+from .errors import GenerationError, InstanceTooLargeError, InvalidInstanceError
 
 SCHEMA_VERSION = 1
 
@@ -26,9 +26,18 @@ PROFILES = (PROFILE_UNCONSTRAINED, PROFILE_A1, PROFILE_A45)
 # Rejection-sampling cap for constrained generation profiles.
 _REJECTION_CAP = 1000
 
+# Most internal-cost entries (|Q|^2 * |R|) the generator may draw.
+_GENERATION_CAP = 10**6
+
+# Largest decimal exponent magnitude a rational string may carry, the same
+# bound as Python's default limit on the digits of an int string: Fraction
+# expands the exponent in full, so "1e999999999" would stall the load.
+_MAX_EXPONENT = 4300
+
 
 def parse_rational(value, name: str = "value") -> Fraction:
-    """Parse a JSON-borne rational: an int or a "num/den" string."""
+    """Parse a JSON-borne rational: an int, a "num/den" string, or a decimal
+    string whose exponent is at most _MAX_EXPONENT in magnitude."""
     if isinstance(value, bool):
         raise InvalidInstanceError(f"{name}: expected a rational, got a boolean")
     if isinstance(value, int):
@@ -36,6 +45,13 @@ def parse_rational(value, name: str = "value") -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        _, _, exponent = value.lower().partition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        # leading zeros are gone, so the first five digits decide the bound
+        if digits.isdecimal() and int(digits[:5]) > _MAX_EXPONENT:
+            raise InvalidInstanceError(
+                f"{name}: decimal exponent of {value!r} exceeds {_MAX_EXPONENT}"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -612,7 +628,9 @@ def generate_scenario(
     Args:
         seed: RNG seed; identical (seed, dims, profile) yields an identical
             instance.
-        dims: (number of hospitals, number of ward types), both >= 1.
+        dims: (number of hospitals, number of ward types), both >= 1; an
+            instance of more than 10**6 internal costs (|Q|^2 * |R|) raises
+            InstanceTooLargeError before anything is drawn.
         profile: "unconstrained" draws wide tie-avoiding rationals;
             "assumption1-satisfying" draws balanced populations and
             same-magnitude group sizes by rejection until check_assumption1
@@ -623,6 +641,11 @@ def generate_scenario(
     nq, nr = dims
     if nq < 1 or nr < 1:
         raise InvalidInstanceError("dims: need at least one hospital and one ward type")
+    if nq * nq * nr > _GENERATION_CAP:
+        raise InstanceTooLargeError(
+            f"dims: {nq}x{nr} needs {nq * nq * nr} internal costs, over the "
+            f"generator's cap of {_GENERATION_CAP}"
+        )
     if profile not in PROFILES:
         raise InvalidInstanceError(
             f"profile: unknown generation profile {profile!r}; choose from {PROFILES}"

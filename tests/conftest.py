@@ -171,11 +171,11 @@ def reference_greedy(inst):
         z = z_new
 
 
-def tie_heavy_instance(seed):
+def tie_heavy_instance(seed, dims=None):
     """Small instance full of cost ties: internal and outside costs in 0..2,
-    one uniform upgrade cost, small groups."""
+    one uniform upgrade cost, small groups; up to 3x3 unless dims are given."""
     rng = random.Random(seed)
-    nq, nr = rng.randint(1, 3), rng.randint(1, 3)
+    nq, nr = (rng.randint(1, 3), rng.randint(1, 3)) if dims is None else dims
     weights = [rng.randint(1, 3) for _ in range(nq)]
     upgrade = rng.randint(1, 3)
     return make_instance(

@@ -1,7 +1,9 @@
 """Central-financing tests: set evaluation, greedy and exact solvers,
 convenience orders, the staircase check, and the LP export."""
 
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -265,9 +267,39 @@ def test_greedy_never_beats_exact():
 # exact solver
 
 
+def with_budget_share(inst, share):
+    total = sum((sum(row) for row in inst.excel_cost), Fraction(0))
+    return dataclasses.replace(inst, budget=total * share)
+
+
+def with_mixed_prices(inst, seed):
+    """The instance with each upgrade priced 0..2, so that plans of equal
+    spend can differ in size."""
+    rng = random.Random(seed)
+    excel = [[rng.randint(0, 2) for _ in row] for row in inst.excel_cost]
+    return dataclasses.replace(inst, excel_cost=excel)
+
+
 def test_exact_matches_unpruned_enumeration():
     generated = [generate_scenario(seed, (2, 2)) for seed in range(30)]
-    for inst in generated + [tie_heavy_instance(seed) for seed in range(60)]:
+    ties = [tie_heavy_instance(seed) for seed in range(60)]
+    # Several wards and up to 12 pairs, so ties span wards and plans get
+    # pruned. With mixed prices, three of the four seeds hold an optimum that
+    # pruning on z alone would lose; tie-heavy seed 1478 has two optimal plans
+    # that only the sorted member order separates.
+    wide = [
+        with_budget_share(generate_scenario(seed, dims, profile), share)
+        for seed, (dims, profile) in enumerate(
+            [((3, 4), PROFILES[0]), ((4, 3), PROFILES[2]), ((2, 5), PROFILES[1])]
+        )
+        for share in (Fraction(1, 16), Fraction(1, 4), Fraction(1, 2))
+    ]
+    wide += [tie_heavy_instance(seed, dims) for seed, dims in enumerate([(4, 3), (2, 5)])]
+    wide.append(tie_heavy_instance(1478, (2, 2)))
+    wide += [
+        with_mixed_prices(tie_heavy_instance(seed, (3, 4)), seed) for seed in (1, 3, 5, 7)
+    ]
+    for inst in generated + ties + wide:
         sol = exact_solve(inst)
         z, size, indexed = unpruned_best(inst)
         assert sol.z_value == z
@@ -313,8 +345,9 @@ def test_exact_solution_reproducible_by_evaluate():
 
 
 def test_exact_guard():
-    inst = generate_scenario(0, (5, 5))
-    with pytest.raises(InstanceTooLargeError, match="25"):
+    # 2^19 subsets of the first ward alone are past the cap
+    inst = generate_scenario(0, (19, 1))
+    with pytest.raises(InstanceTooLargeError, match="524288 candidate plans"):
         exact_solve(inst)
 
 

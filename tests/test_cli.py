@@ -92,6 +92,12 @@ def test_gen_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_past_the_size_cap_exits_2(capsys):
+    code, captured = run_cli("gen", "--seed", "1", "--dims", "1000x1000", capsys=capsys)
+    assert code == 2
+    assert "generator's cap" in captured.err
+
+
 def test_gen_rejects_malformed_dims(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--seed", "1", "--dims", "2by3"])
@@ -212,10 +218,10 @@ def test_central_text_mentions_breakdown(planned_file, capsys):
 
 def test_central_exact_too_large_exits_2(tmp_path, capsys):
     path = tmp_path / "big.json"
-    save_scenario(generate_scenario(0, (5, 5)), path)
+    save_scenario(generate_scenario(0, (19, 1)), path)
     code, captured = run_cli("central-exact", "--input", str(path), capsys=capsys)
     assert code == 2
-    assert "error:" in captured.err
+    assert "over the exact solver's cap" in captured.err
 
 
 def test_local_too_large_exits_2(tmp_path, capsys):

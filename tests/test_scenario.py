@@ -2,6 +2,7 @@
 seeded generation, and the JSON scenario format."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_instance, minimax_split
 from wardalloc import (
+    InstanceTooLargeError,
     InvalidInstanceError,
     all_assumptions,
     build_demand_cells,
@@ -53,6 +55,22 @@ def test_parse_rational_rejects(bad):
 def test_parse_rational_names_field():
     with pytest.raises(InvalidInstanceError, match="budget"):
         parse_rational("nope", "budget")
+
+
+@pytest.mark.parametrize(
+    "text", ["1e999999999", "1E400000", "2e-4301", "1e+4301", "1e4_301", "5.5E0004301"]
+)
+def test_load_rejects_huge_decimal_exponents(text):
+    doc = instance_to_dict(generate_scenario(0, (2, 2)))
+    doc["excel_cost"][1][0] = text
+    with pytest.raises(InvalidInstanceError, match=r"excel_cost\[1\]\[0\]: decimal exponent"):
+        instance_from_dict(doc)
+
+
+def test_parse_rational_keeps_bounded_decimal_exponents():
+    assert parse_rational("1.5e3") == 1500
+    assert parse_rational("25E-2") == Fraction(1, 4)
+    assert parse_rational("1e4_300") == 10**4300
 
 
 def test_format_rational_round_trips():
@@ -409,6 +427,19 @@ def test_generate_rejects_bad_dims():
         generate_scenario(0, (2, 0))
 
 
+def test_generate_guards_size_before_drawing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLargeError, match="dims: 1000000x1000000"):
+            generate_scenario(0, (10**6, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # the largest size the benchmark generates stays allowed
+    assert generate_scenario(0, (30, 20)).num_hospitals == 30
+
+
 def test_generate_rejects_unknown_profile():
     with pytest.raises(InvalidInstanceError, match="profile"):
         generate_scenario(0, (2, 2), "nope")
@@ -523,8 +554,7 @@ def test_load_rejects_wrong_nesting(field, value, named):
     assert str(caught.value).startswith(f"{named}: expected a list")
 
 
-# Any JSON value: scalars, lists and objects nested a few levels deep. Text
-# stays short, so no string spells a rational with a huge decimal exponent.
+# Any JSON value: scalars, lists and objects nested a few levels deep.
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
