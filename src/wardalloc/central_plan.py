@@ -29,7 +29,8 @@ from .scenario import (
 # Destination marker for patients treated outside the system.
 OUTSIDE = "outside"
 
-# Most candidate plans exact_solve may form for a ward (plans kept x 2^|Q|).
+# Most candidate plans exact_solve may form in one run, summed over its wards
+# (each ward forms the plans kept so far x 2^|Q|).
 EXACT_ENUMERATION_CAP = 2**18
 
 
@@ -255,10 +256,12 @@ def exact_solve(inst: ScenarioInstance) -> PlanSolution:
     current = _outside_costs(inst)
     # plans: (spent, z, size, members); subsets: (costs, spent, z delta, members)
     plans = [(Fraction(0), _patient_cost(inst, current), 0, ())]
+    formed = 0
     for ri in range(inst.num_wards):
-        if len(plans) << nq > EXACT_ENUMERATION_CAP:
+        formed += len(plans) << nq
+        if formed > EXACT_ENUMERATION_CAP:
             raise InstanceTooLargeError(
-                f"ward {inst.wards[ri]!r} would form {len(plans) << nq} candidate "
+                f"ward {inst.wards[ri]!r} would bring the run to {formed} candidate "
                 f"plans, over the exact solver's cap of {EXACT_ENUMERATION_CAP}"
             )
         ward = slice(ri * nq, (ri + 1) * nq)  # cells are ward-major

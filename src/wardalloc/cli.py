@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import central_plan, local_game, scenario
@@ -31,8 +30,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_LIMIT = 2
 
-COMMANDS = ("check", "local", "central-greedy", "central-exact", "compare", "gen")
-
 VERDICT_CRITERIA = {
     "diversified_excellences": (
         "at least one diversified equilibrium exists and no uniform "
@@ -44,20 +41,6 @@ VERDICT_CRITERIA = {
         "none"
     ),
 }
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; gen requires seed and dims."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    fmt: str = "text"
-    seed: int | None = None
-    dims: tuple[int, int] | None = None
-    profile: str = scenario.PROFILE_UNCONSTRAINED
-    verbose: int = 0
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -115,40 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        input=getattr(ns, "input", None),
-        output=ns.output,
-        fmt=ns.format,
-        seed=getattr(ns, "seed", None),
-        dims=getattr(ns, "dims", None),
-        profile=getattr(ns, "profile", scenario.PROFILE_UNCONSTRAINED),
-        verbose=ns.verbose,
-    )
-
-
-def _resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(ENV_OUTPUT_DIR)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _emit(text: str, path: str | None) -> None:
-    resolved = _resolve_output(path)
-    if resolved is None:
+    if path is None:
         sys.stdout.write(text)
-    else:
-        parent = os.path.dirname(resolved)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(resolved, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        log.info("wrote %s", resolved)
+        return
+    path = os.path.join(os.environ.get(ENV_OUTPUT_DIR, ""), path)  # absolute paths win
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    log.info("wrote %s", path)
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +207,22 @@ def _local_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _staircase_info(inst, solution):
-    """Staircase verdict for a greedy solution, when the orders exist."""
+def _greedy_report(inst) -> dict:
+    """Greedy plan, with its staircase verdict when the orders exist."""
+    solution = central_plan.greedy_solve(inst)
     try:
         orders = central_plan.total_orders(inst)
     except AssumptionViolationError:
-        return None, None
-    return central_plan.check_staircase(solution, orders), orders
-
-
-def _plan_report(inst, command: str) -> dict:
-    if command == "central-exact":
-        solution = central_plan.exact_solve(inst)
         staircase = orders = None
     else:
-        solution = central_plan.greedy_solve(inst)
-        staircase, orders = _staircase_info(inst, solution)
+        staircase = central_plan.check_staircase(solution, orders)
     doc = central_plan.plan_to_dict(inst, solution, staircase, orders)
-    return {"command": command, **doc}
+    return {"command": "central-greedy", **doc}
+
+
+def _exact_report(inst) -> dict:
+    doc = central_plan.plan_to_dict(inst, central_plan.exact_solve(inst))
+    return {"command": "central-exact", **doc}
 
 
 def _plan_text(report: dict) -> str:
@@ -304,7 +262,7 @@ def _plan_text(report: dict) -> str:
 
 def _compare_report(inst) -> dict:
     local = _local_report(inst)
-    central = _plan_report(inst, "central-greedy")
+    central = _greedy_report(inst)
     verdict = local["diversification"]
     diversified = (
         verdict["has_diversified_equilibrium"] and not verdict["has_uniform_equilibrium"]
@@ -344,54 +302,52 @@ def _compare_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig) -> int:
-    """Execute one parsed invocation; returns the process exit code."""
-    try:
-        if config.command == "gen":
-            if config.seed is None or config.dims is None:
-                raise InvalidInstanceError("gen requires --seed and --dims")
-            inst = scenario.generate_scenario(config.seed, config.dims, config.profile)
-            _emit(scenario.dumps_scenario(inst), config.output)
-            return EXIT_OK
+def _gen_report(args) -> dict:
+    inst = scenario.generate_scenario(args.seed, args.dims, args.profile)
+    return scenario.instance_to_dict(inst)
 
-        inst = scenario.load_scenario(config.input)
-        if config.command == "check":
-            report = _check_report(inst)
-            text = _check_text(report)
-        elif config.command == "local":
-            report = _local_report(inst)
-            text = _local_text(report)
-        elif config.command in ("central-greedy", "central-exact"):
-            report = _plan_report(inst, config.command)
-            text = _plan_text(report)
-        elif config.command == "compare":
-            report = _compare_report(inst)
-            text = _compare_text(report)
-        else:
-            raise InvalidInstanceError(f"unknown command {config.command!r}")
+
+def _json_text(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
+
+
+def _from_input(report):
+    """Build step of a command that reads --input. The library is reached
+    through module attributes at call time, never captured here."""
+    return lambda args: report(scenario.load_scenario(args.input))
+
+
+# command -> (build(args) -> report, text renderer). gen always writes JSON.
+COMMANDS = {
+    "check": (_from_input(_check_report), _check_text),
+    "local": (_from_input(_local_report), _local_text),
+    "central-greedy": (_from_input(_greedy_report), _plan_text),
+    "central-exact": (_from_input(_exact_report), _plan_text),
+    "compare": (_from_input(_compare_report), _compare_text),
+    "gen": (_gen_report, _json_text),
+}
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation; returns the process exit code."""
+    build, text = COMMANDS[args.command]
+    render = text if args.format == "text" else _json_text
+    try:
+        _emit(render(build(args)), args.output)
     except (InvalidInstanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (InstanceTooLargeError, AssumptionViolationError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-
-    if config.fmt == "json":
-        _emit(json.dumps(report, indent=2) + "\n", config.output)
-    else:
-        _emit(text, config.output)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    config = parse_args(argv if argv is not None else sys.argv[1:])
-    level = logging.WARNING
-    if config.verbose == 1:
-        level = logging.INFO
-    elif config.verbose >= 2:
-        level = logging.DEBUG
+    args = build_parser().parse_args(argv)
+    level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -71,13 +71,6 @@ class PayoffTensor:
                     f"payoff tensor entry {key!r} has the wrong arity"
                 )
 
-    def payoff_for(self, profile: StrategyProfile) -> tuple[Fraction, ...]:
-        return self.payoffs[profile.wards]
-
-    def profiles(self):
-        for key in self.payoffs:
-            yield StrategyProfile(hospitals=self.hospitals, wards=key)
-
 
 def _split(inst: ScenarioInstance, choice: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Payoffs of one joint choice given as ward indices: hospitals that pick

@@ -168,6 +168,13 @@ class ScenarioInstance:
         for name, ids in (("hospitals", self.hospitals), ("wards", self.wards)):
             if any(not isinstance(i, str) or not i for i in ids):
                 raise InvalidInstanceError(f"{name}: ids must be non-empty strings")
+            for i in ids:
+                try:
+                    i.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise InvalidInstanceError(
+                        f"{name}: id {i!r} cannot be encoded as UTF-8"
+                    ) from None
             if len(set(ids)) != len(ids):
                 raise InvalidInstanceError(f"{name}: ids must be unique")
         if len(self.population) != nq:
@@ -731,9 +738,9 @@ def load_scenario(path) -> ScenarioInstance:
     """Load and validate a scenario file; any defect raises an invalid-instance
     error naming the offending field."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInstanceError(f"malformed JSON in scenario file: {exc}") from exc
+        try:
+            doc = json.loads(fh.read())
+        # ValueError also covers bytes that are not UTF-8 and over-long ints
+        except (ValueError, RecursionError) as exc:
+            raise InvalidInstanceError(f"malformed JSON in scenario file: {exc}") from exc
     return instance_from_dict(doc)

@@ -351,6 +351,13 @@ def test_exact_guard():
         exact_solve(inst)
 
 
+def test_exact_guard_counts_the_whole_run(monkeypatch):
+    # 4x6 forms at most 656 candidates in any one ward but 1,840 in all
+    monkeypatch.setattr("wardalloc.central_plan.EXACT_ENUMERATION_CAP", 1000)
+    with pytest.raises(InstanceTooLargeError, match="cap of 1000"):
+        exact_solve(generate_scenario(1, (4, 6)))
+
+
 # ---------------------------------------------------------------------------
 # convenience orders
 

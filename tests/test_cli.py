@@ -9,11 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wardalloc
 from conftest import make_instance
 from wardalloc import (
     build_payoff_tensor,
+    dumps_scenario,
     enumerate_pure_nash,
     exact_solve,
     generate_scenario,
@@ -300,6 +303,41 @@ def test_invalid_population_exits_1_naming_field(tmp_path, capsys):
     code, captured = run_cli("check", "--input", str(path), capsys=capsys)
     assert code == 1
     assert "population" in captured.err
+
+
+INPUT_COMMANDS = ("check", "local", "central-greedy", "central-exact", "compare")
+
+
+@pytest.mark.parametrize("command", [*INPUT_COMMANDS, "gen"])
+def test_unwritable_output_exits_1(scenario_file, tmp_path, capsys, command):
+    if command == "gen":
+        argv = ["gen", "--seed", "1", "--dims", "2x2"]
+    else:
+        argv = [command, "--input", str(scenario_file)]
+    # an existing directory cannot be opened as the output file
+    code, captured = run_cli(*argv, "--output", str(tmp_path), capsys=capsys)
+    assert code == 1
+    assert "error:" in captured.err
+
+
+VALID_FILE = dumps_scenario(generate_scenario(7, (2, 2))).encode()
+
+
+def _overwrite(start, data):
+    return VALID_FILE[:start] + data + VALID_FILE[start + len(data) :]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(INPUT_COMMANDS),
+    st.binary(max_size=64)
+    | st.builds(_overwrite, st.integers(0, len(VALID_FILE)), st.binary(max_size=8)),
+)
+def test_any_input_bytes_exit_cleanly(tmp_path_factory, command, data):
+    # arbitrary bytes, or a valid scenario file with a few bytes overwritten
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_bytes(data)
+    assert main([command, "--input", str(path)]) in (0, 1, 2)
 
 
 def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):

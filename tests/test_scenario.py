@@ -495,6 +495,32 @@ def test_load_rejects_malformed_json(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"schema": ' + b"9" * 5000 + b"}",
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"schema": "\xff\xfe"}',
+    ],
+    ids=["int-over-4300-digits", "nested-200000-deep", "not-utf8"],
+)
+def test_load_rejects_undecodable_files(tmp_path, data):
+    path = tmp_path / "odd.json"
+    path.write_bytes(data)
+    with pytest.raises(InvalidInstanceError, match="malformed JSON"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("field", ["hospitals", "wards"])
+def test_load_rejects_ids_not_encodable_as_utf8(tmp_path, field):
+    doc = instance_to_dict(generate_scenario(0, (2, 2)))
+    doc[field][1] = "\ud800"  # a lone surrogate: valid JSON, not UTF-8
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInstanceError, match=f"{field}: id .* UTF-8"):
+        load_scenario(path)
+
+
 def test_load_rejects_wrong_schema(tmp_path):
     doc = instance_to_dict(generate_scenario(0, (2, 2)))
     doc["schema"] = 99
