@@ -5,7 +5,7 @@ excellent and patients split by district population; the solver enumerates
 its pure Nash equilibria. Central financing is a budgeted facility-location
 problem: a planner picks which upgrades to fund and patients go to their
 cheapest destination; the suite provides a greedy heuristic, an exact
-enumeration solver, and a CPLEX-LP export for cross-validation.
+ward-by-ward solver, and a CPLEX-LP export for cross-validation.
 """
 
 from .central_plan import (
@@ -57,7 +57,6 @@ from .scenario import (
     ScenarioInstance,
     Violation,
     all_assumptions,
-    build_demand_cells,
     check_assumption1,
     check_assumption2,
     check_assumption3,

@@ -326,10 +326,11 @@ def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str
     remaining = list(range(inst.num_hospitals))
     order = []
     while remaining:
-        _, qi = min((-_improvements(inst, current, q, ri)[1], q) for q in remaining)
+        moves = {q: _improvements(inst, current, q, ri) for q in remaining}
+        qi = min(remaining, key=lambda q: (-moves[q][1], q))
         remaining.remove(qi)
         order.append(qi)
-        for pos, c_in in _improvements(inst, current, qi, ri)[0]:
+        for pos, c_in in moves[qi][0]:
             current[pos] = c_in
     return tuple(inst.hospitals[qi] for qi in order)
 

@@ -11,8 +11,9 @@ from fractions import Fraction
 from .errors import InstanceTooLargeError, InvalidInstanceError
 from .scenario import ScenarioInstance, check_assumption1, format_rational
 
-# Hard cap on |R| ** |Q| when building the full payoff tensor.
-PROFILE_ENUMERATION_CAP = 10**6
+# Most payoff entries (|R| ** |Q| profiles x |Q| payoffs each) the full payoff
+# tensor may hold: memory and time grow with the entries, not the profiles.
+PROFILE_ENUMERATION_CAP = 6 * 10**6
 
 # Full payoff tables are embedded in JSON reports only up to this many profiles.
 REPORT_TABLE_CAP = 1024
@@ -59,16 +60,28 @@ class PayoffTensor:
     payoffs: dict[tuple[str, ...], tuple[Fraction, ...]]
 
     def __post_init__(self):
-        expected = len(self.strategies) ** len(self.hospitals)
+        nq, allowed = len(self.hospitals), set(self.strategies)
+        if len(allowed) != len(self.strategies):
+            raise InvalidInstanceError(
+                f"payoff tensor strategies must be distinct, got {self.strategies!r}"
+            )
+        # the keys are distinct, so the right count of keys drawn from the
+        # strategies is exactly the strategy product
+        expected = len(self.strategies) ** nq
         if len(self.payoffs) != expected:
             raise InvalidInstanceError(
                 f"payoff tensor must hold exactly {expected} profiles, "
                 f"got {len(self.payoffs)}"
             )
         for key, values in self.payoffs.items():
-            if len(key) != len(self.hospitals) or len(values) != len(self.hospitals):
+            if len(key) != nq or len(values) != nq:
                 raise InvalidInstanceError(
                     f"payoff tensor entry {key!r} has the wrong arity"
+                )
+            if not allowed.issuperset(key):
+                raise InvalidInstanceError(
+                    f"payoff tensor entry {key!r} is not a profile of the "
+                    f"strategies {self.strategies!r}"
                 )
 
 
@@ -102,9 +115,11 @@ def payoff(inst: ScenarioInstance, profile: StrategyProfile) -> tuple[Fraction, 
 def build_payoff_tensor(inst: ScenarioInstance) -> PayoffTensor:
     """Enumerate all |R| ** |Q| joint choices and their payoffs."""
     count = inst.num_wards**inst.num_hospitals
-    if count > PROFILE_ENUMERATION_CAP:
+    entries = count * inst.num_hospitals
+    if entries > PROFILE_ENUMERATION_CAP:
         raise InstanceTooLargeError(
-            f"{count} joint profiles exceed the enumeration guard of "
+            f"{count} joint profiles of {inst.num_hospitals} payoffs each "
+            f"({entries} payoff entries) exceed the enumeration guard of "
             f"{PROFILE_ENUMERATION_CAP}"
         )
     ward_ids = inst.wards

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -66,35 +66,29 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _coerce_rationals(values, name: str, depth: int):
-    """Nested tuples of rationals from lists nested `depth` levels deep; a
-    level that is not a list raises an invalid-instance error naming it."""
+def _entries(values, name: str, count: int):
+    """values, checked to be a list (or tuple) of exactly `count` entries."""
     if not isinstance(values, (list, tuple)):
-        raise InvalidInstanceError(
-            f"{name}: expected a list, got {type(values).__name__}"
+        raise InvalidInstanceError(f"{name}: expected a list, got {type(values).__name__}")
+    if len(values) != count:
+        raise InvalidInstanceError(f"{name}: expected {count} entries, got {len(values)}")
+    return values
+
+
+def _rationals(values, name: str, shape: tuple[int, ...]):
+    """Nested tuples of non-negative rationals from lists nested len(shape)
+    levels deep, level k holding exactly shape[k] entries, in one walk; any
+    defect raises an invalid-instance error naming the offending element."""
+    values = _entries(values, name, shape[0])
+    if len(shape) > 1:
+        return tuple(
+            _rationals(v, f"{name}[{i}]", shape[1:]) for i, v in enumerate(values)
         )
-    if depth == 1:
-        return tuple(parse_rational(v, f"{name}[{i}]") for i, v in enumerate(values))
-    return tuple(
-        _coerce_rationals(v, f"{name}[{i}]", depth - 1) for i, v in enumerate(values)
-    )
-
-
-def _check_population(population) -> None:
-    if any(a <= 0 for a in population):
-        raise InvalidInstanceError("population: every fraction must be strictly positive")
-    if sum(population) != 1:
-        raise InvalidInstanceError(
-            f"population: fractions must sum to exactly 1, got {sum(population)}"
-        )
-
-
-def _check_group_sizes(group_sizes) -> None:
-    for i, s in enumerate(group_sizes):
-        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-            raise InvalidInstanceError(
-                f"group_sizes[{i}]: must be a non-negative integer, got {s!r}"
-            )
+    row = tuple([parse_rational(v, f"{name}[{i}]") for i, v in enumerate(values)])
+    for i, x in enumerate(row):
+        if x < 0:
+            raise InvalidInstanceError(f"{name}[{i}]: must be non-negative, got {x}")
+    return row
 
 
 @dataclass(frozen=True)
@@ -127,6 +121,10 @@ class ScenarioInstance:
     out_cost: patient cost when treated outside the system, indexed
         [district][ward]
     budget: total upgrade budget, non-negative
+
+    The constructor is the only validator: it takes lists or tuples and any
+    rational parse_rational accepts, checks each field once, and raises an
+    invalid-instance error naming the first bad element.
     """
 
     hospitals: tuple[str, ...]
@@ -139,33 +137,14 @@ class ScenarioInstance:
     budget: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "hospitals", tuple(self.hospitals))
-        object.__setattr__(self, "wards", tuple(self.wards))
-        object.__setattr__(
-            self, "population", _coerce_rationals(self.population, "population", 1)
-        )
-        object.__setattr__(self, "group_sizes", tuple(self.group_sizes))
-        object.__setattr__(
-            self, "excel_cost", _coerce_rationals(self.excel_cost, "excel_cost", 2)
-        )
-        object.__setattr__(
-            self,
-            "internal_cost",
-            _coerce_rationals(self.internal_cost, "internal_cost", 3),
-        )
-        object.__setattr__(
-            self, "out_cost", _coerce_rationals(self.out_cost, "out_cost", 2)
-        )
-        object.__setattr__(self, "budget", parse_rational(self.budget, "budget"))
-        self._validate()
-
-    def _validate(self):
-        nq, nr = len(self.hospitals), len(self.wards)
-        if nq < 1:
-            raise InvalidInstanceError("hospitals: need at least one hospital")
-        if nr < 1:
-            raise InvalidInstanceError("wards: need at least one ward type")
-        for name, ids in (("hospitals", self.hospitals), ("wards", self.wards)):
+        for name, kind in (("hospitals", "hospital"), ("wards", "ward type")):
+            ids = getattr(self, name)
+            if not isinstance(ids, (list, tuple)):
+                raise InvalidInstanceError(
+                    f"{name}: expected a list, got {type(ids).__name__}"
+                )
+            if not ids:
+                raise InvalidInstanceError(f"{name}: need at least one {kind}")
             if any(not isinstance(i, str) or not i for i in ids):
                 raise InvalidInstanceError(f"{name}: ids must be non-empty strings")
             for i in ids:
@@ -177,39 +156,35 @@ class ScenarioInstance:
                     ) from None
             if len(set(ids)) != len(ids):
                 raise InvalidInstanceError(f"{name}: ids must be unique")
-        if len(self.population) != nq:
-            raise InvalidInstanceError(
-                f"population: expected {nq} entries, got {len(self.population)}"
-            )
-        _check_population(self.population)
-        if len(self.group_sizes) != nr:
-            raise InvalidInstanceError(
-                f"group_sizes: expected {nr} entries, got {len(self.group_sizes)}"
-            )
-        _check_group_sizes(self.group_sizes)
-        self._check_matrix("excel_cost", self.excel_cost, nq, nr)
-        if len(self.internal_cost) != nq:
-            raise InvalidInstanceError(
-                f"internal_cost: expected {nq} district planes, got {len(self.internal_cost)}"
-            )
-        for d, plane in enumerate(self.internal_cost):
-            self._check_matrix(f"internal_cost[{d}]", plane, nq, nr)
-        self._check_matrix("out_cost", self.out_cost, nq, nr)
-        if self.budget < 0:
-            raise InvalidInstanceError(f"budget: must be non-negative, got {self.budget}")
+            object.__setattr__(self, name, tuple(ids))
+        nq, nr = len(self.hospitals), len(self.wards)
 
-    @staticmethod
-    def _check_matrix(name, matrix, rows, cols):
-        if len(matrix) != rows:
-            raise InvalidInstanceError(f"{name}: expected {rows} rows, got {len(matrix)}")
-        for i, row in enumerate(matrix):
-            if len(row) != cols:
+        population = _rationals(self.population, "population", (nq,))
+        if 0 in population:
+            raise InvalidInstanceError("population: every fraction must be strictly positive")
+        if sum(population) != 1:
+            raise InvalidInstanceError(
+                f"population: fractions must sum to exactly 1, got {sum(population)}"
+            )
+        group_sizes = tuple(_entries(self.group_sizes, "group_sizes", nr))
+        for i, s in enumerate(group_sizes):
+            if isinstance(s, bool) or not isinstance(s, int) or s < 0:
                 raise InvalidInstanceError(
-                    f"{name}[{i}]: expected {cols} entries, got {len(row)}"
+                    f"group_sizes[{i}]: must be a non-negative integer, got {s!r}"
                 )
-            for j, v in enumerate(row):
-                if v < 0:
-                    raise InvalidInstanceError(f"{name}[{i}][{j}]: cost must be non-negative")
+        budget = parse_rational(self.budget, "budget")
+        if budget < 0:
+            raise InvalidInstanceError(f"budget: must be non-negative, got {budget}")
+        parsed = {
+            "population": population,
+            "group_sizes": group_sizes,
+            "excel_cost": _rationals(self.excel_cost, "excel_cost", (nq, nr)),
+            "internal_cost": _rationals(self.internal_cost, "internal_cost", (nq, nq, nr)),
+            "out_cost": _rationals(self.out_cost, "out_cost", (nq, nr)),
+            "budget": budget,
+        }
+        for name, value in parsed.items():
+            object.__setattr__(self, name, value)
 
     @property
     def num_hospitals(self) -> int:
@@ -232,14 +207,20 @@ class ScenarioInstance:
             raise InvalidInstanceError(f"unknown ward id {ward!r}") from None
 
     def demand_cells(self) -> tuple[DemandCell, ...]:
-        """Demand cells of this instance, ward-major; districts are the
-        hospital ids. Built on first use and kept on the instance."""
+        """Each ward type's patient group distributed over the districts (the
+        hospital ids), ward-major: ((d1,r1), (d2,r1), ..., (d1,r2), ...).
+
+        Counts follow the population fractions with largest-remainder
+        rounding, ties broken by district index, so each group's counts sum
+        exactly to its size. Built on first use and kept on the instance."""
         return self._cells
 
     @functools.cached_property
     def _cells(self) -> tuple[DemandCell, ...]:
-        return build_demand_cells(
-            self.group_sizes, self.population, districts=self.hospitals, wards=self.wards
+        return tuple(
+            DemandCell(district=self.hospitals[di], ward=ward, count=count)
+            for ward, size in zip(self.wards, self.group_sizes)
+            for di, count in enumerate(largest_remainder_split(size, self.population))
         )
 
     @functools.cached_property
@@ -265,39 +246,6 @@ def largest_remainder_split(total: int, shares: Sequence[Fraction]) -> list[int]
     for i in by_remainder[:leftover]:
         parts[i] += 1
     return parts
-
-
-def build_demand_cells(
-    group_sizes: Sequence[int],
-    population: Sequence[Fraction],
-    districts: Sequence[str] | None = None,
-    wards: Sequence[str] | None = None,
-) -> tuple[DemandCell, ...]:
-    """Distribute each ward type's patient group over the districts.
-
-    Counts follow the population fractions with largest-remainder rounding,
-    ties broken by district index, so each group's counts sum exactly to its
-    size. Cells are returned ward-major ((d1,r1), (d2,r1), ..., (d1,r2), ...).
-    """
-    population = _coerce_rationals(population, "population", 1)
-    if not population:
-        raise InvalidInstanceError("population: need at least one district")
-    _check_population(population)
-    _check_group_sizes(group_sizes)
-    if districts is None:
-        districts = tuple(f"d{i + 1}" for i in range(len(population)))
-    if wards is None:
-        wards = tuple(f"r{i + 1}" for i in range(len(group_sizes)))
-    if len(districts) != len(population):
-        raise InvalidInstanceError("districts: length must match population")
-    if len(wards) != len(group_sizes):
-        raise InvalidInstanceError("wards: length must match group_sizes")
-
-    cells = []
-    for ri, size in enumerate(group_sizes):
-        for di, count in enumerate(largest_remainder_split(size, population)):
-            cells.append(DemandCell(district=districts[di], ward=wards[ri], count=count))
-    return tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -693,36 +641,12 @@ def instance_from_dict(doc) -> ScenarioInstance:
         raise InvalidInstanceError(
             f"schema: unsupported version {schema!r}, expected {SCHEMA_VERSION}"
         )
-    required = (
-        "hospitals",
-        "wards",
-        "population",
-        "group_sizes",
-        "excel_cost",
-        "internal_cost",
-        "out_cost",
-        "budget",
-    )
+    # the document's fields are exactly the instance's, in the same order
+    required = [field.name for field in fields(ScenarioInstance)]
     for key in required:
         if key not in doc:
             raise InvalidInstanceError(f"{key}: missing required field")
-    for key in ("hospitals", "wards"):
-        ids = doc[key]
-        if not isinstance(ids, list) or any(not isinstance(i, str) for i in ids):
-            raise InvalidInstanceError(f"{key}: must be a list of strings")
-    sizes = doc["group_sizes"]
-    if not isinstance(sizes, list):
-        raise InvalidInstanceError("group_sizes: must be a list of integers")
-    return ScenarioInstance(
-        hospitals=tuple(doc["hospitals"]),
-        wards=tuple(doc["wards"]),
-        population=doc["population"],
-        group_sizes=tuple(sizes),
-        excel_cost=doc["excel_cost"],
-        internal_cost=doc["internal_cost"],
-        out_cost=doc["out_cost"],
-        budget=doc["budget"],
-    )
+    return ScenarioInstance(**{key: doc[key] for key in required})
 
 
 def dumps_scenario(inst: ScenarioInstance) -> str:

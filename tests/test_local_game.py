@@ -113,10 +113,37 @@ def test_tensor_scales_with_group_sizes():
 
 
 def test_tensor_guard_rejects_huge_games():
-    # 2 ** 20 joint profiles crosses the million-profile guard
+    # 2 ** 20 joint profiles of 20 payoffs each cross the 6 * 10**6 guard
     inst = make_instance((5, 5), tuple(Fraction(1, 20) for _ in range(20)))
     with pytest.raises(InstanceTooLargeError, match="profiles"):
         build_payoff_tensor(inst)
+
+
+def test_tensor_guard_counts_payoff_entries(monkeypatch):
+    # 4 ** 4 = 256 profiles of 4 payoffs each: 1,024 entries
+    monkeypatch.setattr("wardalloc.local_game.PROFILE_ENUMERATION_CAP", 1000)
+    inst = make_instance((5, 6, 7, 8), tuple(Fraction(1, 4) for _ in range(4)))
+    with pytest.raises(InstanceTooLargeError, match="256 joint profiles .*1024 payoff"):
+        build_payoff_tensor(inst)
+
+
+def test_tensor_rejects_keys_outside_the_strategy_product():
+    keys = [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
+    with pytest.raises(InvalidInstanceError, match="not a profile of the strategies"):
+        PayoffTensor(
+            hospitals=("a", "b"),
+            strategies=("a", "b"),
+            payoffs={k: (Fraction(1), Fraction(1)) for k in keys},
+        )
+
+
+def test_tensor_rejects_repeated_strategies():
+    with pytest.raises(InvalidInstanceError, match="strategies must be distinct"):
+        PayoffTensor(
+            hospitals=("q",),
+            strategies=("a", "a"),
+            payoffs={("a",): (Fraction(1),), ("b",): (Fraction(2),)},
+        )
 
 
 def test_tensor_validates_entry_count():

@@ -13,8 +13,8 @@ from conftest import make_instance, minimax_split
 from wardalloc import (
     InstanceTooLargeError,
     InvalidInstanceError,
+    ScenarioInstance,
     all_assumptions,
-    build_demand_cells,
     check_assumption1,
     check_assumption2,
     check_assumption3,
@@ -129,13 +129,14 @@ def test_split_minimax_property(weights, total):
 # demand cells
 
 
-def test_demand_cells_ward_major_default_ids():
-    cells = build_demand_cells((7, 2), (Fraction(1, 2), Fraction(1, 2)))
+def test_demand_cells_ward_major_remainders_to_lowest_index():
+    inst = make_instance((7, 2), (Fraction(1, 2), Fraction(1, 2)))
+    cells = inst.demand_cells()
     assert [(c.district, c.ward, c.count) for c in cells] == [
-        ("d1", "r1", 4),
-        ("d2", "r1", 3),
-        ("d1", "r2", 1),
-        ("d2", "r2", 1),
+        ("q1", "r1", 4),
+        ("q2", "r1", 3),
+        ("q1", "r2", 1),
+        ("q2", "r2", 1),
     ]
 
 
@@ -160,16 +161,16 @@ def test_demand_cells_conserve_groups():
 
 def test_demand_cells_reject_bad_population():
     with pytest.raises(InvalidInstanceError, match="population"):
-        build_demand_cells((5,), (Fraction(1, 2), Fraction(1, 3)))
+        make_instance((5,), (Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(InvalidInstanceError, match="population"):
-        build_demand_cells((5,), ())
+        make_instance((5,), (), hospitals=("q1",))
 
 
 def test_demand_cells_reject_bad_sizes():
     with pytest.raises(InvalidInstanceError, match="group_sizes"):
-        build_demand_cells((-1,), (Fraction(1),))
+        make_instance((-1,), (Fraction(1),))
     with pytest.raises(InvalidInstanceError, match="group_sizes"):
-        build_demand_cells((True,), (Fraction(1),))
+        make_instance((True,), (Fraction(1),))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +192,18 @@ def test_instance_rejects_duplicate_ids():
         make_instance(
             (5, 5), (Fraction(1, 2), Fraction(1, 2)), hospitals=("a", "a")
         )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("hospitals", "ab"), ("wards", "r1"), ("group_sizes", 5)],
+)
+def test_instance_rejects_fields_that_are_not_lists(field, value):
+    kwargs = instance_to_dict(generate_scenario(0, (2, 2)))
+    del kwargs["schema"]
+    kwargs[field] = value
+    with pytest.raises(InvalidInstanceError, match=f"^{field}: expected a list"):
+        ScenarioInstance(**kwargs)
 
 
 def test_instance_rejects_negative_cost():
