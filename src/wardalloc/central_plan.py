@@ -194,6 +194,31 @@ def _checked_solution(
     return replace(solution, trace=tuple(trace))
 
 
+def _greedy_steps(inst: ScenarioInstance, pairs, budget: Fraction | None = None):
+    """The greedy step, written once. From every cell outside, each step
+    scores each remaining (qi, ri) pair that fits the budget (None: no budget)
+    by its z change, price - saving, yields the best as (z change, qi, ri),
+    ties to the lowest (qi, ri), and then takes it, unless the caller stops."""
+    current = _outside_costs(inst)
+    remaining = list(pairs)
+    spent = Fraction(0)
+    while True:
+        options = []
+        for qi, ri in remaining:
+            price = inst.excel_cost[qi][ri]
+            if budget is None or spent + price <= budget:
+                taken, saving = _improvements(inst, current, qi, ri)
+                options.append((price - saving, qi, ri, taken))
+        if not options:
+            return
+        dz, qi, ri, taken = min(options)  # pairs are distinct: taken never compared
+        yield dz, qi, ri
+        remaining.remove((qi, ri))
+        spent += inst.excel_cost[qi][ri]
+        for pos, c_in in taken:
+            current[pos] = c_in
+
+
 def greedy_solve(inst: ScenarioInstance) -> PlanSolution:
     """Grow the excellence set one budget-feasible upgrade at a time.
 
@@ -202,43 +227,16 @@ def greedy_solve(inst: ScenarioInstance) -> PlanSolution:
     budget, nothing strictly improves, or every pair is already in. Elements
     are never removed once inserted. Cells follow evaluate_Z's rule.
     """
-    nq, nr = inst.num_hospitals, inst.num_wards
-    current = _outside_costs(inst)
-    z_current = _patient_cost(inst, current)
-    chosen: set[tuple[int, int]] = set()
-    spent = Fraction(0)
-    trace = []
-    while len(chosen) < nq * nr:
-        best = None
-        for qi in range(nq):
-            for ri in range(nr):
-                if (qi, ri) in chosen:
-                    continue
-                price = inst.excel_cost[qi][ri]
-                if spent + price > inst.budget:
-                    continue
-                _, saving = _improvements(inst, current, qi, ri)
-                key = (z_current + price - saving, qi, ri)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+    pairs = [(qi, ri) for qi in range(inst.num_hospitals) for ri in range(inst.num_wards)]
+    z = _patient_cost(inst, _outside_costs(inst))
+    added, trace = [], []
+    for dz, qi, ri in _greedy_steps(inst, pairs, inst.budget):
+        if not dz < 0:
             break
-        z_new, qi, ri = best
-        if not z_new < z_current:
-            break
-        chosen.add((qi, ri))
-        spent += inst.excel_cost[qi][ri]
-        for pos, c_in in _improvements(inst, current, qi, ri)[0]:
-            current[pos] = c_in
-        trace.append(
-            GreedyStep(
-                added=(inst.hospitals[qi], inst.wards[ri]),
-                z_before=z_current,
-                z_after=z_new,
-            )
-        )
-        z_current = z_new
-    return _checked_solution(inst, chosen, z_current, trace)
+        added.append((qi, ri))
+        trace.append(GreedyStep((inst.hospitals[qi], inst.wards[ri]), z, z + dz))
+        z += dz
+    return _checked_solution(inst, added, z, trace)
 
 
 def exact_solve(inst: ScenarioInstance) -> PlanSolution:
@@ -299,15 +297,15 @@ def ward_order(inst: ScenarioInstance) -> tuple[str, ...]:
 
 
 def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str, ...]:
-    """Hospitals by convenience: iteratively append the hospital whose
-    addition to the excellent-in-one-ward set lowers that ward's patient cost
-    the most (ties by hospital index); cells follow evaluate_Z's rule.
+    """Hospitals by convenience: greedy's own order on one ward. Without a
+    budget, greedy's step appends the hospital whose upgrade in that ward
+    lowers z the most, ties by hospital index; cells follow evaluate_Z's rule.
 
     Requires ward-independent internal costs and a uniform upgrade cost; with
-    the uniform upgrade cost the upgrade part cancels in every comparison, so
-    only patient-cost marginals are compared. The optional ward argument
-    (default: the first ward) exists so callers can verify the order does not
-    depend on the choice.
+    the uniform upgrade cost the price cancels in every comparison, so only
+    patient-cost savings are compared. The optional ward argument (default:
+    the first ward) exists so callers can verify the order does not depend on
+    the choice.
     """
     a4 = check_assumption4(inst)
     if not a4.holds:
@@ -322,17 +320,8 @@ def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str
             f"(assumption 5): {a5.violations[0]}"
         )
     ri = inst.ward_index(ward) if ward is not None else 0
-    current = _outside_costs(inst)
-    remaining = list(range(inst.num_hospitals))
-    order = []
-    while remaining:
-        moves = {q: _improvements(inst, current, q, ri) for q in remaining}
-        qi = min(remaining, key=lambda q: (-moves[q][1], q))
-        remaining.remove(qi)
-        order.append(qi)
-        for pos, c_in in moves[qi][0]:
-            current[pos] = c_in
-    return tuple(inst.hospitals[qi] for qi in order)
+    steps = _greedy_steps(inst, [(qi, ri) for qi in range(inst.num_hospitals)])
+    return tuple(inst.hospitals[qi] for _, qi, _ in steps)
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,11 @@ class PayoffTensor:
 
     def __post_init__(self):
         nq, allowed = len(self.hospitals), set(self.strategies)
-        if len(allowed) != len(self.strategies):
-            raise InvalidInstanceError(
-                f"payoff tensor strategies must be distinct, got {self.strategies!r}"
-            )
+        for name, ids in (("hospitals", self.hospitals), ("strategies", self.strategies)):
+            if not ids or len(set(ids)) != len(ids):
+                raise InvalidInstanceError(
+                    f"payoff tensor {name} must be distinct and non-empty, got {ids!r}"
+                )
         # the keys are distinct, so the right count of keys drawn from the
         # strategies is exactly the strategy product
         expected = len(self.strategies) ** nq

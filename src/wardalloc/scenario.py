@@ -283,50 +283,44 @@ def _report(assumption: int, violations: list[Violation]) -> AssumptionReport:
     )
 
 
-def _smallest_other_slice(group_sizes, population, k):
-    """Smallest |P_i| * a_j over i != k and all districts j, with its indices.
-
-    Returns None when there is no other ward type to compare against.
-    """
-    best = None
-    for i, size in enumerate(group_sizes):
-        if i == k:
-            continue
-        for j, a in enumerate(population):
-            key = (Fraction(size) * a, i, j)
-            if best is None or key < best:
-                best = key
-    return best
+def _a1_failures(group_sizes, population):
+    """Assumption 1's failing groups, as (k, value, i, j): group k has no more
+    than value = |P_i| * a_j patients, the smallest slice over every other
+    group i and district j (ties to the lowest i, then j)."""
+    for k, size in enumerate(group_sizes):
+        slices = [
+            (Fraction(other) * a, i, j)
+            for i, other in enumerate(group_sizes)
+            if i != k
+            for j, a in enumerate(population)
+        ]
+        if slices and not Fraction(size) > (smallest := min(slices))[0]:
+            yield (k, *smallest)
 
 
 def check_assumption1(inst: ScenarioInstance) -> AssumptionReport:
     """Each patient group strictly outnumbers the smallest per-district slice
     of every other group. Vacuously true with a single ward type."""
     violations = []
-    for k in range(inst.num_wards):
-        best = _smallest_other_slice(inst.group_sizes, inst.population, k)
-        if best is None:
-            continue
-        value, i, j = best
+    for k, value, i, j in _a1_failures(inst.group_sizes, inst.population):
         lhs = Fraction(inst.group_sizes[k])
-        if not lhs > value:
-            violations.append(
-                Violation(
-                    code="group-not-above-smallest-district-slice",
-                    where={
-                        "ward": inst.wards[k],
-                        "other_ward": inst.wards[i],
-                        "district": inst.hospitals[j],
-                    },
-                    lhs=lhs,
-                    rhs=value,
-                    message=(
-                        f"group {inst.wards[k]} has {lhs} patients, not more than the "
-                        f"{value} patients of group {inst.wards[i]} living in district "
-                        f"{inst.hospitals[j]}"
-                    ),
-                )
+        violations.append(
+            Violation(
+                code="group-not-above-smallest-district-slice",
+                where={
+                    "ward": inst.wards[k],
+                    "other_ward": inst.wards[i],
+                    "district": inst.hospitals[j],
+                },
+                lhs=lhs,
+                rhs=value,
+                message=(
+                    f"group {inst.wards[k]} has {lhs} patients, not more than the "
+                    f"{value} patients of group {inst.wards[i]} living in district "
+                    f"{inst.hospitals[j]}"
+                ),
             )
+        )
     return _report(1, violations)
 
 
@@ -475,11 +469,7 @@ def _gen_default(rng: random.Random, nq: int, nr: int, require_a1: bool) -> Scen
     if require_a1:
         for _ in range(_REJECTION_CAP):
             sizes = tuple(rng.sample(range(500, 1600), nr))
-            if all(
-                (best := _smallest_other_slice(sizes, population, k)) is None
-                or Fraction(sizes[k]) > best[0]
-                for k in range(nr)
-            ):
+            if next(_a1_failures(sizes, population), None) is None:
                 break
         else:
             raise GenerationError(
@@ -637,7 +627,7 @@ def instance_from_dict(doc) -> ScenarioInstance:
     if not isinstance(doc, dict):
         raise InvalidInstanceError("scenario document must be a JSON object")
     schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # True == 1.0 == 1
         raise InvalidInstanceError(
             f"schema: unsupported version {schema!r}, expected {SCHEMA_VERSION}"
         )

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the package's own algorithms: splits are
 checked against full enumeration, plan values against a per-cell brute force,
-greedy plans against a step-by-step search valued by that brute force, and the
+greedy plans and convenience orders against step-by-step searches valued by
+that brute force, and the
 LP export against a tiny standalone CPLEX-LP parser plus an external
 MILP solver when one is installed.
 """
@@ -169,6 +170,21 @@ def reference_greedy(inst):
         spent += inst.excel_cost[qi][ri]
         trace.append((added, z, z_new))
         z = z_new
+
+
+def reference_hospital_order(inst, ward):
+    """Convenience order straight from hospital_order's definition, valued by
+    brute_z: repeatedly append the hospital whose addition to the set already
+    excellent in the ward gives the lowest z, ties broken by hospital index."""
+    order = []
+    while len(order) < inst.num_hospitals:
+        options = [
+            (brute_z(inst, [(p, ward) for p in order + [q]]), qi, q)
+            for qi, q in enumerate(inst.hospitals)
+            if q not in order
+        ]
+        order.append(min(options)[2])
+    return tuple(order)
 
 
 def tie_heavy_instance(seed, dims=None):

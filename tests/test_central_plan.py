@@ -13,6 +13,7 @@ from conftest import (
     make_instance,
     parse_lp,
     reference_greedy,
+    reference_hospital_order,
     solve_lp_external,
     tie_heavy_instance,
     unpruned_best,
@@ -390,6 +391,35 @@ def test_hospital_order_independent_of_ward():
         orders = {hospital_order(inst, ward=w) for w in inst.wards}
         assert len(orders) == 1
         assert hospital_order(inst) in orders
+
+
+def with_ward_free_costs(inst):
+    """The instance with every ward's internal costs set to the first ward's,
+    so that assumption 4 holds."""
+    internal = [[[row[0]] * len(row) for row in plane] for plane in inst.internal_cost]
+    return dataclasses.replace(inst, internal_cost=internal)
+
+
+def test_hospital_order_matches_reference_on_generated():
+    for seed in range(4):
+        for dims in itertools.product(range(2, 7), (2, 3)):
+            inst = generate_scenario(seed, dims, "assumption4&5-satisfying")
+            for ward in inst.wards:
+                assert hospital_order(inst, ward) == reference_hospital_order(inst, ward)
+
+
+def test_hospital_order_matches_reference_on_ties():
+    # internal costs in 0..2 shared across wards and one uniform price, so
+    # hospitals often tie on their saving and the index decides
+    ties = [with_ward_free_costs(tie_heavy_instance(seed)) for seed in range(150)]
+    ties += [
+        with_ward_free_costs(tie_heavy_instance(seed, dims))
+        for seed in range(10)
+        for dims in ((4, 2), (5, 2), (6, 1))
+    ]
+    for inst in ties:
+        for ward in inst.wards:
+            assert hospital_order(inst, ward) == reference_hospital_order(inst, ward)
 
 
 def test_hospital_order_requires_ward_free_costs():

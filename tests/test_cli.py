@@ -305,6 +305,17 @@ def test_invalid_population_exits_1_naming_field(tmp_path, capsys):
     assert "population" in captured.err
 
 
+@pytest.mark.parametrize("schema", [True, 1.0, "1"])
+def test_schema_that_only_equals_one_exits_1(tmp_path, capsys, schema):
+    doc = instance_to_dict(generate_scenario(0, (2, 2)))
+    doc["schema"] = schema
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run_cli("check", "--input", str(path), capsys=capsys)
+    assert code == 1
+    assert "schema" in captured.err
+
+
 INPUT_COMMANDS = ("check", "local", "central-greedy", "central-exact", "compare")
 
 

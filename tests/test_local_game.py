@@ -146,6 +146,27 @@ def test_tensor_rejects_repeated_strategies():
         )
 
 
+def test_tensor_rejects_repeated_hospitals():
+    keys = [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
+    with pytest.raises(InvalidInstanceError, match="hospitals must be distinct"):
+        PayoffTensor(
+            hospitals=("a", "a"),
+            strategies=("x", "y"),
+            payoffs={k: (Fraction(1), Fraction(1)) for k in keys},
+        )
+
+
+def test_tensor_rejects_no_hospitals():
+    # the strategy product of no hospitals is the one empty profile
+    with pytest.raises(InvalidInstanceError, match="hospitals must be .*non-empty"):
+        PayoffTensor(hospitals=(), strategies=("x", "y"), payoffs={(): ()})
+
+
+def test_tensor_rejects_no_strategies():
+    with pytest.raises(InvalidInstanceError, match="strategies must be .*non-empty"):
+        PayoffTensor(hospitals=("a", "b"), strategies=(), payoffs={})
+
+
 def test_tensor_validates_entry_count():
     with pytest.raises(InvalidInstanceError, match="tensor"):
         PayoffTensor(

@@ -543,6 +543,17 @@ def test_load_rejects_wrong_schema(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("schema", [True, 1.0, "1"])
+def test_load_rejects_schema_that_only_equals_one(tmp_path, schema):
+    # True == 1.0 == 1 in Python; only the integer 1 is schema version 1
+    doc = instance_to_dict(generate_scenario(0, (2, 2)))
+    doc["schema"] = schema
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInstanceError, match="schema"):
+        load_scenario(path)
+
+
 @pytest.mark.parametrize("missing", ["hospitals", "population", "budget"])
 def test_load_rejects_missing_field(tmp_path, missing):
     doc = instance_to_dict(generate_scenario(0, (2, 2)))
