@@ -303,9 +303,9 @@ def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str
 
     Requires ward-independent internal costs and a uniform upgrade cost; with
     the uniform upgrade cost the price cancels in every comparison, so only
-    patient-cost savings are compared. The optional ward argument (default:
-    the first ward) exists so callers can verify the order does not depend on
-    the choice.
+    patient-cost savings are compared. Without a ward argument, the order
+    every ward gives; if two wards disagree (their outside costs or demand
+    shares may still differ), raises an assumption violation naming both.
     """
     a4 = check_assumption4(inst)
     if not a4.holds:
@@ -319,9 +319,28 @@ def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str
             "hospital convenience order requires a uniform upgrade cost "
             f"(assumption 5): {a5.violations[0]}"
         )
-    ri = inst.ward_index(ward) if ward is not None else 0
-    steps = _greedy_steps(inst, [(qi, ri) for qi in range(inst.num_hospitals)])
-    return tuple(inst.hospitals[qi] for _, qi, _ in steps)
+    nq = inst.num_hospitals
+    wards = range(inst.num_wards) if ward is None else [inst.ward_index(ward)]
+    by_profile = {}  # first ward of each profile and its order
+    for ri in wards:
+        # savings scale with the patient counts, so wards with the same outside
+        # costs and proportional counts (demand shares) order alike
+        cells = inst._cell_index[ri * nq : (ri + 1) * nq]
+        unit = math.gcd(*(count for _, _, count in cells)) or 1
+        profile = tuple((inst.out_cost[d][ri], count // unit) for d, _, count in cells)
+        if profile not in by_profile:
+            steps = _greedy_steps(inst, [(qi, ri) for qi in range(nq)])
+            order = tuple(inst.hospitals[qi] for _, qi, _ in steps)
+            by_profile[profile] = (inst.wards[ri], order)
+    (first, order), *others = by_profile.values()
+    for other, other_order in others:
+        if other_order != order:
+            raise AssumptionViolationError(
+                "hospital convenience order differs by ward: "
+                f"{first} gives {' > '.join(order)} but "
+                f"{other} gives {' > '.join(other_order)}"
+            )
+    return order
 
 
 @dataclass(frozen=True)
@@ -341,11 +360,12 @@ class StaircaseVerdict:
     """Is the excellence set downward closed in both convenience orders?
 
     violation, when present, is ((q, r), (q2, r2)): (q, r) is in the set while
-    the dominated pair (q2, r2) is not.
+    the dominated pair (q2, r2) is not, in the orders it was checked against.
     """
 
     holds: bool
     violation: tuple[tuple[str, str], tuple[str, str]] | None
+    orders: TotalOrders
 
 
 def check_staircase(solution: PlanSolution, orders: TotalOrders) -> StaircaseVerdict:
@@ -358,8 +378,8 @@ def check_staircase(solution: PlanSolution, orders: TotalOrders) -> StaircaseVer
         for q2 in orders.hospital_order[: hrank[q] + 1]:
             for r2 in orders.ward_order[: wrank[r] + 1]:
                 if (q2, r2) not in members:
-                    return StaircaseVerdict(holds=False, violation=((q, r), (q2, r2)))
-    return StaircaseVerdict(holds=True, violation=None)
+                    return StaircaseVerdict(False, ((q, r), (q2, r2)), orders)
+    return StaircaseVerdict(True, None, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +489,6 @@ def plan_to_dict(
     inst: ScenarioInstance,
     solution: PlanSolution,
     staircase: StaircaseVerdict | None = None,
-    orders: TotalOrders | None = None,
 ) -> dict:
     """JSON-ready planning report with rationals as "num/den" strings."""
     doc = {
@@ -502,13 +521,13 @@ def plan_to_dict(
                 else {"hospital": dest[0], "ward": dest[1]},
             }
         )
-    if staircase is not None and orders is not None:
+    if staircase is not None:
         doc["staircase"] = {
             "holds": staircase.holds,
             "violation": None
             if staircase.violation is None
             else [list(staircase.violation[0]), list(staircase.violation[1])],
-            "ward_order": list(orders.ward_order),
-            "hospital_order": list(orders.hospital_order),
+            "ward_order": list(staircase.orders.ward_order),
+            "hospital_order": list(staircase.orders.hospital_order),
         }
     return doc

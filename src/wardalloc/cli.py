@@ -1,7 +1,7 @@
 """Command line for the suite: validate scenarios, analyze either financing
 regime, compare the two, and generate seeded instances.
 
-Commands: check | local | central-greedy | central-exact | compare | gen.
+The commands and their help live in one table, COMMANDS.
 Exit codes: 0 success, 1 validation error, 2 size-guard or assumption error.
 """
 
@@ -76,25 +76,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default=default_format)
         p.add_argument("--verbose", "-v", action="count", default=0)
 
-    for command, help_text in (
-        ("check", "run the five assumption checkers"),
-        ("local", "local-financing equilibrium analysis"),
-        ("central-greedy", "greedy central plan"),
-        ("central-exact", "exhaustive central plan"),
-        ("compare", "run both regimes and compare"),
-    ):
+    for command, (help_text, build, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        p.add_argument("--input", "-i", required=True, help="scenario JSON file")
-        add_common(p)
-
-    gen = sub.add_parser("gen", help="generate a seeded scenario file")
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--dims", type=_parse_dims, required=True, metavar="QxR")
-    gen.add_argument(
-        "--profile", choices=scenario.PROFILES, default=scenario.PROFILE_UNCONSTRAINED
-    )
-    add_common(gen, default_format="json")
-
+        if build is _gen_report:  # draws its own scenario and always writes JSON
+            p.add_argument("--seed", type=int, required=True)
+            p.add_argument("--dims", type=_parse_dims, required=True, metavar="QxR")
+            p.add_argument(
+                "--profile", choices=scenario.PROFILES, default=scenario.PROFILE_UNCONSTRAINED
+            )
+            add_common(p, default_format="json")
+        else:
+            p.add_argument("--input", "-i", required=True, help="scenario JSON file")
+            add_common(p)
     return parser
 
 
@@ -211,12 +204,10 @@ def _greedy_report(inst) -> dict:
     """Greedy plan, with its staircase verdict when the orders exist."""
     solution = central_plan.greedy_solve(inst)
     try:
-        orders = central_plan.total_orders(inst)
+        staircase = central_plan.check_staircase(solution, central_plan.total_orders(inst))
     except AssumptionViolationError:
-        staircase = orders = None
-    else:
-        staircase = central_plan.check_staircase(solution, orders)
-    doc = central_plan.plan_to_dict(inst, solution, staircase, orders)
+        staircase = None
+    doc = central_plan.plan_to_dict(inst, solution, staircase)
     return {"command": "central-greedy", **doc}
 
 
@@ -317,20 +308,21 @@ def _from_input(report):
     return lambda args: report(scenario.load_scenario(args.input))
 
 
-# command -> (build(args) -> report, text renderer). gen always writes JSON.
+# command -> (help, build(args) -> report, text renderer), in --help order.
 COMMANDS = {
-    "check": (_from_input(_check_report), _check_text),
-    "local": (_from_input(_local_report), _local_text),
-    "central-greedy": (_from_input(_greedy_report), _plan_text),
-    "central-exact": (_from_input(_exact_report), _plan_text),
-    "compare": (_from_input(_compare_report), _compare_text),
-    "gen": (_gen_report, _json_text),
+    "check": ("run the five assumption checkers", _from_input(_check_report), _check_text),
+    "local": ("local-financing equilibrium analysis",
+              _from_input(_local_report), _local_text),
+    "central-greedy": ("greedy central plan", _from_input(_greedy_report), _plan_text),
+    "central-exact": ("exhaustive central plan", _from_input(_exact_report), _plan_text),
+    "compare": ("run both regimes and compare", _from_input(_compare_report), _compare_text),
+    "gen": ("generate a seeded scenario file", _gen_report, _json_text),
 }
 
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code."""
-    build, text = COMMANDS[args.command]
+    _, build, text = COMMANDS[args.command]
     render = text if args.format == "text" else _json_text
     try:
         _emit(render(build(args)), args.output)
@@ -345,8 +337,9 @@ def run(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig only adds the handler once; the level is set on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
     return run(args)
 
 

@@ -456,9 +456,7 @@ def _ids(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
 
-def _gen_default(rng: random.Random, nq: int, nr: int, require_a1: bool) -> ScenarioInstance:
-    hospitals = _ids("q", nq)
-    wards = _ids("r", nr)
+def _gen_default(rng: random.Random, nq: int, nr: int, require_a1: bool) -> tuple:
     if require_a1:
         weights = rng.sample(range(90, 90 + max(24, nq + 1)), nq)
     else:
@@ -498,24 +496,13 @@ def _gen_default(rng: random.Random, nq: int, nr: int, require_a1: bool) -> Scen
     sum_cost = sum(sum(row) for row in excel_cost)
     budget_cap = (sum_cost.numerator * 6) // (sum_cost.denominator * 5) + 1
     budget = Fraction(rng.randint(0, budget_cap))
-    return ScenarioInstance(
-        hospitals=hospitals,
-        wards=wards,
-        population=population,
-        group_sizes=sizes,
-        excel_cost=excel_cost,
-        internal_cost=internal_cost,
-        out_cost=out_cost,
-        budget=budget,
-    )
+    return population, sizes, excel_cost, internal_cost, out_cost, budget
 
 
-def _gen_a45(rng: random.Random, nq: int, nr: int) -> ScenarioInstance:
+def _gen_a45(rng: random.Random, nq: int, nr: int) -> tuple:
     """Distance-derived internal costs constant across wards, uniform upgrade
     cost, and group sizes that are exact multiples of the population-weight
     total (so demand cells carry no rounding error)."""
-    hospitals = _ids("q", nq)
-    wards = _ids("r", nr)
     weights = rng.sample(range(60, 60 + max(81, nq + 1)), nq)
     total_w = sum(weights)
     population = tuple(Fraction(w, total_w) for w in weights)
@@ -553,16 +540,7 @@ def _gen_a45(rng: random.Random, nq: int, nr: int) -> ScenarioInstance:
     upgrade = mean_gain * Fraction(rng.randint(20, 300), 100)
     excel_cost = tuple(tuple(upgrade for _ in range(nr)) for _ in range(nq))
     budget = upgrade * rng.randint(1, nq * nr)
-    return ScenarioInstance(
-        hospitals=hospitals,
-        wards=wards,
-        population=population,
-        group_sizes=sizes,
-        excel_cost=excel_cost,
-        internal_cost=internal_cost,
-        out_cost=out_cost,
-        budget=budget,
-    )
+    return population, sizes, excel_cost, internal_cost, out_cost, budget
 
 
 def generate_scenario(
@@ -596,9 +574,12 @@ def generate_scenario(
             f"profile: unknown generation profile {profile!r}; choose from {PROFILES}"
         )
     rng = random.Random(seed)
+    # a profile returns its draws in field order: population, sizes, costs, budget
     if profile == PROFILE_A45:
-        return _gen_a45(rng, nq, nr)
-    return _gen_default(rng, nq, nr, require_a1=profile == PROFILE_A1)
+        drawn = _gen_a45(rng, nq, nr)
+    else:
+        drawn = _gen_default(rng, nq, nr, require_a1=profile == PROFILE_A1)
+    return ScenarioInstance(_ids("q", nq), _ids("r", nr), *drawn)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ convenience orders, the staircase check, and the LP export."""
 
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -37,9 +38,11 @@ from wardalloc import (
     greedy_solve,
     hospital_order,
     plan_to_dict,
+    save_scenario,
     total_orders,
     ward_order,
 )
+from wardalloc.cli import main
 
 
 def line_instance(positions, weights, *, out=1000, size_per_ward=None, nr=1,
@@ -418,8 +421,28 @@ def test_hospital_order_matches_reference_on_ties():
         for dims in ((4, 2), (5, 2), (6, 1))
     ]
     for inst in ties:
-        for ward in inst.wards:
-            assert hospital_order(inst, ward) == reference_hospital_order(inst, ward)
+        references = [reference_hospital_order(inst, ward) for ward in inst.wards]
+        for ward, reference in zip(inst.wards, references):
+            assert hospital_order(inst, ward) == reference
+        # outside costs and group sizes still vary by ward, so the wards'
+        # orders can differ; without a ward the order exists only if they agree
+        if len(set(references)) == 1:
+            assert hospital_order(inst) == references[0]
+        else:
+            with pytest.raises(AssumptionViolationError, match="differs by ward"):
+                hospital_order(inst)
+
+
+def test_disagreeing_wards_are_named_and_drop_the_staircase(tmp_path, capsys):
+    inst = with_ward_free_costs(tie_heavy_instance(13))
+    assert hospital_order(inst, "r1") == ("q2", "q1")
+    assert hospital_order(inst, "r2") == ("q1", "q2")
+    with pytest.raises(AssumptionViolationError, match="r1 gives q2 > q1 but r2 gives q1 > q2"):
+        hospital_order(inst)
+    path = tmp_path / "ties.json"
+    save_scenario(inst, path)
+    assert main(["central-greedy", "--input", str(path), "--format", "json"]) == 0
+    assert "staircase" not in json.loads(capsys.readouterr().out)
 
 
 def test_hospital_order_requires_ward_free_costs():
@@ -475,6 +498,7 @@ def test_staircase_accepts_downward_closed_set():
     verdict = check_staircase(sol, orders)
     assert verdict.holds
     assert verdict.violation is None
+    assert verdict.orders == orders
 
 
 def test_staircase_accepts_empty_and_full_sets():
@@ -659,7 +683,7 @@ def test_plan_to_dict_shape():
     inst = generate_scenario(13, (2, 2), "assumption4&5-satisfying")
     sol = greedy_solve(inst)
     orders = total_orders(inst)
-    doc = plan_to_dict(inst, sol, check_staircase(sol, orders), orders)
+    doc = plan_to_dict(inst, sol, check_staircase(sol, orders))
     assert set(doc) == {
         "excellence",
         "z_value",

@@ -2,7 +2,9 @@
 environment-variable output routing, and report stability."""
 
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,7 +27,7 @@ from wardalloc import (
     load_scenario,
     save_scenario,
 )
-from wardalloc.cli import main
+from wardalloc.cli import COMMANDS, build_parser, main
 
 
 def run_cli(*argv, capsys=None):
@@ -426,3 +428,40 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert load_scenario(out) == generate_scenario(2, (2, 2))
+
+
+# ---------------------------------------------------------------------------
+# command table and logging
+
+
+def test_help_lists_the_command_table_in_order(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    rows = re.findall(r"^    ([a-z-]+) {2,}(\S.*)$", capsys.readouterr().out, re.M)
+    assert rows == [(command, entry[0]) for command, entry in COMMANDS.items()]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: wardalloc {command} ")
+
+
+def test_gen_defaults_to_json_and_input_commands_to_text():
+    parser = build_parser()
+    assert parser.parse_args(["gen", "--seed", "1", "--dims", "2x2"]).format == "json"
+    for command in COMMANDS.keys() - {"gen"}:
+        assert parser.parse_args([command, "--input", "s.json"]).format == "text"
+
+
+def test_verbose_applies_to_each_call(scenario_file, tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="wardalloc")
+    out = str(tmp_path / "c.json")
+    assert main(["check", "--input", str(scenario_file), "--output", out]) == 0
+    assert not [r for r in caplog.records if r.getMessage().startswith("wrote")]
+    assert main(["check", "--input", str(scenario_file), "--output", out, "-v"]) == 0
+    assert [r.getMessage() for r in caplog.records] == [f"wrote {out}"]
