@@ -431,10 +431,8 @@ def export_ilp(
     def xout(di, ri):
         return f"xout_{di}_{ri}"
 
-    obj_terms: list[tuple[Fraction, str]] = []
-    for qi in range(nq):
-        for ri in range(nr):
-            obj_terms.append((inst.excel_cost[qi][ri], y(qi, ri)))
+    # every variable once, the y terms first; Binary and the budget row read this list
+    obj_terms = [(inst.excel_cost[qi][ri], y(qi, ri)) for qi in range(nq) for ri in range(nr)]
     for di, ri, count in cells:
         for qi in range(nq):
             obj_terms.append((count * inst.internal_cost[di][qi][ri], x(di, ri, qi)))
@@ -457,11 +455,7 @@ def export_ilp(
     scale = math.lcm(
         inst.budget.denominator, *(c.denominator for row in inst.excel_cost for c in row)
     )
-    budget_terms = [
-        (scale * inst.excel_cost[qi][ri], y(qi, ri))
-        for qi in range(nq)
-        for ri in range(nr)
-    ]
+    budget_terms = [(scale * coef, var) for coef, var in obj_terms[: nq * nr]]
     expr = _lp_expr(budget_terms, y(0, 0))
     budget_lines = [" budget:" + expr[0]] + expr[1:]
     budget_lines[-1] += f" <= {_lp_num(scale * inst.budget)}"
@@ -474,13 +468,7 @@ def export_ilp(
             lines.append(f" {y(qi, ri)} = 1")
 
     lines.append("Binary")
-    for qi in range(nq):
-        for ri in range(nr):
-            lines.append(f" {y(qi, ri)}")
-    for di, ri, _ in cells:
-        for qi in range(nq):
-            lines.append(f" {x(di, ri, qi)}")
-        lines.append(f" {xout(di, ri)}")
+    lines.extend(f" {var}" for _, var in obj_terms)
     lines.append("End")
     return "\n".join(lines) + "\n"
 

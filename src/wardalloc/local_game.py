@@ -35,7 +35,10 @@ class StrategyProfile:
             )
 
     def choice(self, hospital: str) -> str:
-        return self.wards[self.hospitals.index(hospital)]
+        try:
+            return self.wards[self.hospitals.index(hospital)]
+        except ValueError:
+            raise InvalidInstanceError(f"unknown hospital id {hospital!r}") from None
 
     def as_dict(self) -> dict[str, str]:
         return dict(zip(self.hospitals, self.wards))

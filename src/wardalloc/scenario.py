@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -237,8 +238,14 @@ def largest_remainder_split(total: int, shares: Sequence[Fraction]) -> list[int]
     """Split `total` into integer parts proportional to `shares` (summing to 1).
 
     Floors every quota, then hands the leftover units to the largest
-    fractional remainders; remainder ties go to the lowest index.
+    fractional remainders; remainder ties go to the lowest index. A `total`
+    that is not a non-negative integer, or shares that are negative or do not
+    sum to exactly 1, raise an invalid-instance error.
     """
+    if isinstance(total, bool) or not isinstance(total, int) or total < 0:
+        raise InvalidInstanceError(f"total: must be a non-negative integer, got {total!r}")
+    if any(s < 0 for s in shares) or sum(shares) != 1:
+        raise InvalidInstanceError("shares: must be non-negative and sum to exactly 1")
     quotas = [total * s for s in shares]
     parts = [int(q) for q in quotas]  # quotas are >= 0, so int() floors
     leftover = total - sum(parts)
@@ -248,6 +255,28 @@ def largest_remainder_split(total: int, shares: Sequence[Fraction]) -> list[int]
     return parts
 
 
+# Each violation code's message, filled in from the witness's `where` ids
+# and its two sides; no message is worded anywhere else.
+_MESSAGES = {
+    "group-not-above-smallest-district-slice": (
+        "group {ward} has {lhs} patients, not more than the {rhs} patients of "
+        "group {other_ward} living in district {district}"
+    ),
+    "budget-below-cheapest-upgrade": "budget {lhs} is below the cheapest upgrade cost {rhs}",
+    "inside-benefit-not-above-upgrade-cost": (
+        "total inside-treatment benefit {lhs} does not exceed the total upgrade cost {rhs}"
+    ),
+    "internal-cost-depends-on-ward": (
+        "internal cost from district {district} to hospital {hospital} differs across "
+        "ward types: {lhs} for {ward} vs {rhs} for {other_ward}"
+    ),
+    "upgrade-cost-not-uniform": (
+        "upgrade cost is not uniform: ({hospital}, {ward}) costs {lhs} but "
+        "({other_hospital}, {other_ward}) costs {rhs}"
+    ),
+}
+
+
 @dataclass(frozen=True)
 class Violation:
     """One concrete witness of a failed assumption check.
@@ -255,14 +284,17 @@ class Violation:
     code: machine-readable kind of failure
     where: named ids/indices pinpointing the witness
     lhs, rhs: the two sides of the inequality or equality that failed
-    message: human-readable rendering
     """
 
     code: str
     where: dict
     lhs: Fraction
     rhs: Fraction
-    message: str
+
+    @property
+    def message(self) -> str:
+        """Human-readable rendering: the code's template over where, lhs, rhs."""
+        return _MESSAGES[self.code].format(**self.where, lhs=self.lhs, rhs=self.rhs)
 
     def __str__(self):
         return self.message
@@ -301,26 +333,16 @@ def _a1_failures(group_sizes, population):
 def check_assumption1(inst: ScenarioInstance) -> AssumptionReport:
     """Each patient group strictly outnumbers the smallest per-district slice
     of every other group. Vacuously true with a single ward type."""
-    violations = []
-    for k, value, i, j in _a1_failures(inst.group_sizes, inst.population):
-        lhs = Fraction(inst.group_sizes[k])
-        violations.append(
-            Violation(
-                code="group-not-above-smallest-district-slice",
-                where={
-                    "ward": inst.wards[k],
-                    "other_ward": inst.wards[i],
-                    "district": inst.hospitals[j],
-                },
-                lhs=lhs,
-                rhs=value,
-                message=(
-                    f"group {inst.wards[k]} has {lhs} patients, not more than the "
-                    f"{value} patients of group {inst.wards[i]} living in district "
-                    f"{inst.hospitals[j]}"
-                ),
-            )
+    wards, districts = inst.wards, inst.hospitals
+    violations = [
+        Violation(
+            "group-not-above-smallest-district-slice",
+            {"ward": wards[k], "other_ward": wards[i], "district": districts[j]},
+            Fraction(inst.group_sizes[k]),
+            value,
         )
+        for k, value, i, j in _a1_failures(inst.group_sizes, inst.population)
+    ]
     return _report(1, violations)
 
 
@@ -331,15 +353,7 @@ def check_assumption2(inst: ScenarioInstance) -> AssumptionReport:
     min_cost = min(min(row) for row in inst.excel_cost)
     if inst.budget < min_cost:
         violations.append(
-            Violation(
-                code="budget-below-cheapest-upgrade",
-                where={},
-                lhs=inst.budget,
-                rhs=min_cost,
-                message=(
-                    f"budget {inst.budget} is below the cheapest upgrade cost {min_cost}"
-                ),
-            )
+            Violation("budget-below-cheapest-upgrade", {}, inst.budget, min_cost)
         )
     benefit = Fraction(0)
     for d, r, count in inst._cell_index:
@@ -348,16 +362,7 @@ def check_assumption2(inst: ScenarioInstance) -> AssumptionReport:
     total_upgrade = sum(sum(row) for row in inst.excel_cost)
     if not benefit > total_upgrade:
         violations.append(
-            Violation(
-                code="inside-benefit-not-above-upgrade-cost",
-                where={},
-                lhs=benefit,
-                rhs=total_upgrade,
-                message=(
-                    f"total inside-treatment benefit {benefit} does not exceed the "
-                    f"total upgrade cost {total_upgrade}"
-                ),
-            )
+            Violation("inside-benefit-not-above-upgrade-cost", {}, benefit, total_upgrade)
         )
     return _report(2, violations)
 
@@ -371,64 +376,36 @@ def check_assumption3(inst: ScenarioInstance) -> AssumptionReport:
 def check_assumption4(inst: ScenarioInstance) -> AssumptionReport:
     """Internal patient costs do not depend on the ward type; the report
     carries the first counterexample found."""
-    violations = []
-    for d in range(inst.num_hospitals):
-        for q in range(inst.num_hospitals):
-            base = inst.internal_cost[d][q][0]
-            for r in range(1, inst.num_wards):
-                value = inst.internal_cost[d][q][r]
+    for d, plane in enumerate(inst.internal_cost):
+        for q, (base, *others) in enumerate(plane):
+            for r, value in enumerate(others, 1):
                 if value != base:
-                    violations.append(
-                        Violation(
-                            code="internal-cost-depends-on-ward",
-                            where={
-                                "district": inst.hospitals[d],
-                                "hospital": inst.hospitals[q],
-                                "ward": inst.wards[0],
-                                "other_ward": inst.wards[r],
-                            },
-                            lhs=base,
-                            rhs=value,
-                            message=(
-                                f"internal cost from district {inst.hospitals[d]} to "
-                                f"hospital {inst.hospitals[q]} differs across ward types: "
-                                f"{base} for {inst.wards[0]} vs {value} for {inst.wards[r]}"
-                            ),
-                        )
-                    )
-                    return _report(4, violations)
-    return _report(4, violations)
+                    where = {
+                        "district": inst.hospitals[d],
+                        "hospital": inst.hospitals[q],
+                        "ward": inst.wards[0],
+                        "other_ward": inst.wards[r],
+                    }
+                    witness = Violation("internal-cost-depends-on-ward", where, base, value)
+                    return _report(4, [witness])
+    return _report(4, [])
 
 
 def check_assumption5(inst: ScenarioInstance) -> AssumptionReport:
     """Every upgrade costs the same; the report carries the first
     counterexample found."""
-    violations = []
     base = inst.excel_cost[0][0]
-    for q in range(inst.num_hospitals):
-        for r in range(inst.num_wards):
-            value = inst.excel_cost[q][r]
+    for q, row in enumerate(inst.excel_cost):
+        for r, value in enumerate(row):
             if value != base:
-                violations.append(
-                    Violation(
-                        code="upgrade-cost-not-uniform",
-                        where={
-                            "hospital": inst.hospitals[0],
-                            "ward": inst.wards[0],
-                            "other_hospital": inst.hospitals[q],
-                            "other_ward": inst.wards[r],
-                        },
-                        lhs=base,
-                        rhs=value,
-                        message=(
-                            f"upgrade cost is not uniform: "
-                            f"({inst.hospitals[0]}, {inst.wards[0]}) costs {base} but "
-                            f"({inst.hospitals[q]}, {inst.wards[r]}) costs {value}"
-                        ),
-                    )
-                )
-                return _report(5, violations)
-    return _report(5, violations)
+                where = {
+                    "hospital": inst.hospitals[0],
+                    "ward": inst.wards[0],
+                    "other_hospital": inst.hospitals[q],
+                    "other_ward": inst.wards[r],
+                }
+                return _report(5, [Violation("upgrade-cost-not-uniform", where, base, value)])
+    return _report(5, [])
 
 
 def all_assumptions(inst: ScenarioInstance) -> tuple[AssumptionReport, ...]:
@@ -450,6 +427,15 @@ def _distinct_sample(rng: random.Random, count: int, lo: int, step: int = 1) -> 
     # sample without replacement from a range wide enough to stay cheap
     span = max(4 * count, 256)
     return rng.sample(range(lo, lo + span * step, step), count)
+
+
+def _quarters(rng: random.Random, shape: tuple[int, ...], lo: int) -> tuple:
+    """Distinct quarters n/4, the numerators one sample from lo upward in steps
+    of 2, nested row-major into `shape`."""
+    values = [Fraction(n, 4) for n in _distinct_sample(rng, math.prod(shape), lo, step=2)]
+    for size in reversed(shape[1:]):
+        values = [tuple(values[i : i + size]) for i in range(0, len(values), size)]
+    return tuple(values)
 
 
 def _ids(prefix: str, n: int) -> tuple[str, ...]:
@@ -477,22 +463,9 @@ def _gen_default(rng: random.Random, nq: int, nr: int, require_a1: bool) -> tupl
     else:
         sizes = tuple(_distinct_sample(rng, nr, 200))
 
-    excel_nums = _distinct_sample(rng, nq * nr, 401, step=2)
-    excel_cost = tuple(
-        tuple(Fraction(excel_nums[q * nr + r], 4) for r in range(nr)) for q in range(nq)
-    )
-    in_nums = _distinct_sample(rng, nq * nq * nr, 11, step=2)
-    internal_cost = tuple(
-        tuple(
-            tuple(Fraction(in_nums[(d * nq + q) * nr + r], 4) for r in range(nr))
-            for q in range(nq)
-        )
-        for d in range(nq)
-    )
-    out_nums = _distinct_sample(rng, nq * nr, 1, step=2)
-    out_cost = tuple(
-        tuple(Fraction(out_nums[d * nr + r], 4) for r in range(nr)) for d in range(nq)
-    )
+    excel_cost = _quarters(rng, (nq, nr), 401)
+    internal_cost = _quarters(rng, (nq, nq, nr), 11)
+    out_cost = _quarters(rng, (nq, nr), 1)
     sum_cost = sum(sum(row) for row in excel_cost)
     budget_cap = (sum_cost.numerator * 6) // (sum_cost.denominator * 5) + 1
     budget = Fraction(rng.randint(0, budget_cap))
@@ -586,22 +559,22 @@ def generate_scenario(
 # Scenario file format
 
 
+def _to_json(value):
+    """Tuples become lists and rationals "num/den" strings, at any depth."""
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return value
+
+
 def instance_to_dict(inst: ScenarioInstance) -> dict:
-    """JSON-ready document; rationals become "num/den" strings."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "hospitals": list(inst.hospitals),
-        "wards": list(inst.wards),
-        "population": [format_rational(a) for a in inst.population],
-        "group_sizes": list(inst.group_sizes),
-        "excel_cost": [[format_rational(c) for c in row] for row in inst.excel_cost],
-        "internal_cost": [
-            [[format_rational(c) for c in row] for row in plane]
-            for plane in inst.internal_cost
-        ],
-        "out_cost": [[format_rational(c) for c in row] for row in inst.out_cost],
-        "budget": format_rational(inst.budget),
-    }
+    """JSON-ready document: the schema version, then every instance field in
+    declaration order; rationals become "num/den" strings."""
+    doc = {"schema": SCHEMA_VERSION}
+    for field in fields(ScenarioInstance):
+        doc[field.name] = _to_json(getattr(inst, field.name))
+    return doc
 
 
 def instance_from_dict(doc) -> ScenarioInstance:

@@ -75,6 +75,12 @@ def test_profile_uniformity():
     assert q.as_dict() == {"a": "r1", "b": "r2"}
 
 
+def test_profile_choice_rejects_unknown_hospital():
+    p = StrategyProfile(hospitals=("a", "b"), wards=("r1", "r2"))
+    with pytest.raises(InvalidInstanceError, match="^unknown hospital id 'z'$"):
+        p.choice("z")
+
+
 # ---------------------------------------------------------------------------
 # tensor enumeration
 

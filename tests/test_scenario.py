@@ -30,6 +30,7 @@ from wardalloc import (
     parse_rational,
     save_scenario,
 )
+from wardalloc.cli import main
 from wardalloc.scenario import PROFILES
 
 THIRDS = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
@@ -94,6 +95,24 @@ def test_split_exact_quotas():
 
 def test_split_zero_total():
     assert largest_remainder_split(0, THIRDS) == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "total,shares",
+    [
+        (10, (Fraction(1, 3), Fraction(1, 3))),
+        (10, (Fraction(2, 3), Fraction(2, 3))),
+        (10, (Fraction(-1, 2), Fraction(3, 2))),
+        (-5, (Fraction(1, 2), Fraction(1, 2))),
+        (Fraction(5, 2), (Fraction(1, 2), Fraction(1, 2))),
+        (True, (Fraction(1),)),
+    ],
+)
+def test_split_rejects_what_it_cannot_split_exactly(total, shares):
+    # each of these once came back with parts that do not sum to the total
+    # or with negative parts
+    with pytest.raises(InvalidInstanceError):
+        largest_remainder_split(total, shares)
 
 
 @pytest.mark.parametrize(
@@ -403,6 +422,58 @@ def test_violations_restate_instance_data():
                     assert v.lhs != v.rhs
                 else:
                     raise AssertionError(f"unknown violation code {v.code}")
+
+
+# One market that fails every data assumption: a lopsided group, a budget
+# below every price, outside care cheaper than inside, one internal cost that
+# changes with the ward at (north -> south), and one off-price upgrade.
+EVERY_VIOLATION = make_instance(
+    (10, 400),
+    (Fraction(1, 4), Fraction(3, 4)),
+    excel=[[5, 5], [Fraction(15, 2), 5]],
+    internal=[[[1, 1], [1, Fraction(1, 2)]], [[2, 2], [1, 1]]],
+    out=[[1, 2], [2, 1]],
+    budget=Fraction(3, 2),
+    hospitals=("north", "south"),
+    wards=("icu", "er"),
+)
+
+
+@pytest.mark.parametrize(
+    "code,message",
+    [
+        (
+            "group-not-above-smallest-district-slice",
+            "group icu has 10 patients, not more than the 100 patients of group er "
+            "living in district north",
+        ),
+        ("budget-below-cheapest-upgrade", "budget 3/2 is below the cheapest upgrade cost 5"),
+        (
+            "inside-benefit-not-above-upgrade-cost",
+            "total inside-treatment benefit -43 does not exceed the total upgrade cost 45/2",
+        ),
+        (
+            "internal-cost-depends-on-ward",
+            "internal cost from district north to hospital south differs across ward "
+            "types: 1 for icu vs 1/2 for er",
+        ),
+        (
+            "upgrade-cost-not-uniform",
+            "upgrade cost is not uniform: (north, icu) costs 5 but (south, icu) costs 15/2",
+        ),
+    ],
+)
+def test_violation_message_text(tmp_path, capsys, code, message):
+    [v] = [
+        v for report in all_assumptions(EVERY_VIOLATION) for v in report.violations
+        if v.code == code
+    ]
+    assert v.message == message
+    assert str(v) == message
+    path = tmp_path / "market.json"
+    save_scenario(EVERY_VIOLATION, path)
+    assert main(["check", "--input", str(path), "--format", "text"]) == 0
+    assert f"  - {message}" in capsys.readouterr().out.splitlines()
 
 
 # ---------------------------------------------------------------------------
