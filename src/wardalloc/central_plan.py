@@ -8,6 +8,7 @@ for greedy solutions, and a CPLEX-LP model export."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -196,27 +197,54 @@ def _checked_solution(
 
 def _greedy_steps(inst: ScenarioInstance, pairs, budget: Fraction | None = None):
     """The greedy step, written once. From every cell outside, each step
-    scores each remaining (qi, ri) pair that fits the budget (None: no budget)
-    by its z change, price - saving, yields the best as (z change, qi, ri),
-    ties to the lowest (qi, ri), and then takes it, unless the caller stops."""
+    yields the (qi, ri) pair that fits the budget (None: no budget) with the
+    lowest z change, price - saving, as (z change, qi, ri), ties to the lowest
+    (qi, ri), and then takes it, unless the caller stops.
+
+    Scoring is lazy (Minoux 1978, "Accelerated greedy algorithms for
+    maximizing submodular set functions"). Taking a pair only lowers cell
+    costs, so a pair's saving can only shrink: a key scored earlier is a lower
+    bound on the pair's key now. A heap holds the fitting pairs under their
+    last keys. Each step rescores only the top pair; if its fresh key is still
+    no greater than the next key, which bounds every other pair's, it is the
+    best pair, else it goes back. Pairs that stop fitting are dropped, since
+    spending only grows."""
     current = _outside_costs(inst)
-    remaining = list(pairs)
+    heap = [
+        (inst.excel_cost[qi][ri] - _improvements(inst, current, qi, ri)[1], qi, ri)
+        for qi, ri in pairs
+        if budget is None or inst.excel_cost[qi][ri] <= budget
+    ]
+    heapq.heapify(heap)
     spent = Fraction(0)
-    while True:
-        options = []
-        for qi, ri in remaining:
+    steps, scored, pushed_back = 0, len(heap), 0
+    try:
+        while heap:
+            _, qi, ri = heapq.heappop(heap)
             price = inst.excel_cost[qi][ri]
-            if budget is None or spent + price <= budget:
-                taken, saving = _improvements(inst, current, qi, ri)
-                options.append((price - saving, qi, ri, taken))
-        if not options:
-            return
-        dz, qi, ri, taken = min(options)  # pairs are distinct: taken never compared
-        yield dz, qi, ri
-        remaining.remove((qi, ri))
-        spent += inst.excel_cost[qi][ri]
-        for pos, c_in in taken:
-            current[pos] = c_in
+            if budget is not None and spent + price > budget:
+                continue
+            taken, saving = _improvements(inst, current, qi, ri)
+            scored += 1
+            key = (price - saving, qi, ri)
+            if heap and key > heap[0]:  # (qi, ri) differ: dz ties go to the lower pair
+                heapq.heappush(heap, key)
+                pushed_back += 1
+                continue
+            yield key
+            steps += 1
+            spent += price
+            for pos, c_in in taken:
+                current[pos] = c_in
+    finally:
+        # imported here so that importing the package does not load logging
+        # (about 3 ms); the CLI has loaded it already
+        import logging
+
+        logging.getLogger(__name__).debug(
+            "greedy: steps taken %d, pairs scored %d, pairs pushed back %d",
+            steps, scored, pushed_back,
+        )
 
 
 def greedy_solve(inst: ScenarioInstance) -> PlanSolution:

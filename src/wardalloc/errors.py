@@ -14,7 +14,8 @@ class InstanceTooLargeError(WardallocError):
 
 
 class GenerationError(WardallocError):
-    """Rejection sampling failed to produce an instance within the iteration cap."""
+    """No instance of the requested profile: it cannot hold at the requested
+    size, or rejection sampling found none within the iteration cap."""
 
 
 class BudgetExceededError(WardallocError):

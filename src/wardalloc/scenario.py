@@ -530,7 +530,8 @@ def generate_scenario(
         profile: "unconstrained" draws wide tie-avoiding rationals;
             "assumption1-satisfying" draws balanced populations and
             same-magnitude group sizes by rejection until check_assumption1
-            holds (generation error after 1000 tries);
+            holds (generation error after 1000 tries, or before any draw
+            with one hospital and several ward types, where it cannot hold);
             "assumption4&5-satisfying" builds distance-derived internal costs
             constant across wards and a uniform upgrade cost.
     """
@@ -545,6 +546,13 @@ def generate_scenario(
     if profile not in PROFILES:
         raise InvalidInstanceError(
             f"profile: unknown generation profile {profile!r}; choose from {PROFILES}"
+        )
+    if profile == PROFILE_A1 and nq == 1 and nr > 1:
+        # one district: each slice is a whole group, and the smallest group
+        # never strictly exceeds another
+        raise GenerationError(
+            f"profile {PROFILE_A1!r}: assumption 1 cannot hold with one hospital "
+            f"and {nr} ward types"
         )
     rng = random.Random(seed)
     # a profile returns its draws in field order: population, sizes, costs, budget

@@ -30,6 +30,7 @@ from wardalloc import (
     InvalidInstanceError,
     TotalOrders,
     admissible,
+    central_plan,
     check_staircase,
     evaluate_Z,
     exact_solve,
@@ -67,6 +68,19 @@ def line_instance(positions, weights, *, out=1000, size_per_ward=None, nr=1,
 
 def members_of(solution):
     return set(solution.excellence.members)
+
+
+def with_budget_share(inst, share):
+    total = sum((sum(row) for row in inst.excel_cost), Fraction(0))
+    return dataclasses.replace(inst, budget=total * share)
+
+
+def with_mixed_prices(inst, seed):
+    """The instance with each upgrade priced 0..2, so that plans of equal
+    spend can differ in size."""
+    rng = random.Random(seed)
+    excel = [[rng.randint(0, 2) for _ in row] for row in inst.excel_cost]
+    return dataclasses.replace(inst, excel_cost=excel)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +275,48 @@ def test_greedy_matches_reference_on_ties():
         assert sol.z_value == (trace[-1][2] if trace else brute_z(inst, []))
 
 
+def test_greedy_matches_reference_when_pairs_stop_fitting():
+    # Mixed prices and budget shares make pairs stop fitting partway through
+    # a run; tie-heavy costs make many z changes equal, so the (qi, ri) order
+    # decides between keys scored at different steps.
+    mixed = [
+        with_mixed_prices(tie_heavy_instance(seed, dims), seed)
+        for seed in range(40)
+        for dims in ((3, 4), (4, 3), (2, 5))
+    ]
+    shares = [
+        with_budget_share(generate_scenario(seed, dims, profile), share)
+        for seed in range(4)
+        for dims in ((3, 4), (4, 3))
+        for profile in PROFILES
+        for share in (Fraction(1, 16), Fraction(1, 4), Fraction(1, 2))
+    ]
+    for inst in mixed + shares:
+        sol = greedy_solve(inst)
+        trace = reference_greedy(inst)
+        assert greedy_trace(sol) == trace
+        assert members_of(sol) == {added for added, _, _ in trace}
+
+
+def test_greedy_rescores_only_popped_pairs(monkeypatch):
+    # a full rescan at every step scores 24,380 to 85,197 pairs on these
+    # instances; lazy scoring scores 803 to 1,578 (evaluate_Z's check included)
+    calls = []
+    score = central_plan._improvements
+
+    def counted(*args):
+        calls.append(args[2:])
+        return score(*args)
+
+    monkeypatch.setattr(central_plan, "_improvements", counted)
+    for profile in ("unconstrained", "assumption4&5-satisfying"):
+        for seed in range(3):
+            inst = generate_scenario(seed, (30, 20), profile)
+            calls.clear()
+            greedy_solve(inst)
+            assert 30 * 20 <= len(calls) <= 4 * 30 * 20
+
+
 def test_greedy_never_beats_exact():
     for seed in range(40):
         inst = generate_scenario(seed, (2, 3))
@@ -269,19 +325,6 @@ def test_greedy_never_beats_exact():
 
 # ---------------------------------------------------------------------------
 # exact solver
-
-
-def with_budget_share(inst, share):
-    total = sum((sum(row) for row in inst.excel_cost), Fraction(0))
-    return dataclasses.replace(inst, budget=total * share)
-
-
-def with_mixed_prices(inst, seed):
-    """The instance with each upgrade priced 0..2, so that plans of equal
-    spend can differ in size."""
-    rng = random.Random(seed)
-    excel = [[rng.randint(0, 2) for _ in row] for row in inst.excel_cost]
-    return dataclasses.replace(inst, excel_cost=excel)
 
 
 def test_exact_matches_unpruned_enumeration():

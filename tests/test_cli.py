@@ -103,6 +103,16 @@ def test_gen_past_the_size_cap_exits_2(capsys):
     assert "generator's cap" in captured.err
 
 
+def test_gen_unsatisfiable_profile_exits_2(capsys):
+    code, captured = run_cli(
+        "gen", "--seed", "0", "--dims", "1x4", "--profile", "assumption1-satisfying",
+        capsys=capsys,
+    )
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot hold with one hospital and 4 ward types" in captured.err
+
+
 def test_gen_rejects_malformed_dims(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--seed", "1", "--dims", "2by3"])
@@ -456,6 +466,22 @@ def test_gen_defaults_to_json_and_input_commands_to_text():
     assert parser.parse_args(["gen", "--seed", "1", "--dims", "2x2"]).format == "json"
     for command in COMMANDS.keys() - {"gen"}:
         assert parser.parse_args([command, "--input", "s.json"]).format == "text"
+
+
+def test_very_verbose_logs_greedy_work_and_keeps_the_report(planned_file, capsys, caplog):
+    # central-greedy runs greedy_solve, then hospital_order's one-ward greedy;
+    # their DEBUG lines show only at -vv, and the report bytes do not change
+    argv = ["central-greedy", "--input", str(planned_file), "--format", "json"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr().out
+    assert main(argv + ["-v"]) == 0
+    assert not caplog.records
+    assert main(argv + ["-vv"]) == 0
+    assert capsys.readouterr().out == 2 * quiet
+    assert [r.getMessage() for r in caplog.records if r.name == "wardalloc.central_plan"] == [
+        "greedy: steps taken 1, pairs scored 10, pairs pushed back 0",
+        "greedy: steps taken 3, pairs scored 7, pairs pushed back 1",
+    ]
 
 
 def test_verbose_applies_to_each_call(scenario_file, tmp_path, caplog):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_instance, minimax_split
 from wardalloc import (
+    GenerationError,
     InstanceTooLargeError,
     InvalidInstanceError,
     ScenarioInstance,
@@ -522,6 +523,20 @@ def test_generate_guards_size_before_drawing():
     assert peak < 64 * 1024
     # the largest size the benchmark generates stays allowed
     assert generate_scenario(0, (30, 20)).num_hospitals == 30
+
+
+def test_generate_refuses_assumption1_with_one_hospital(monkeypatch):
+    # one district makes every slice a whole group, so the smallest group
+    # never exceeds another: refused before the generator draws anything
+    monkeypatch.setattr("wardalloc.scenario._gen_default", None)
+    for nr in (2, 4):
+        with pytest.raises(
+            GenerationError, match=f"cannot hold with one hospital and {nr} ward types"
+        ):
+            generate_scenario(0, (1, nr), "assumption1-satisfying")
+    monkeypatch.undo()
+    assert check_assumption1(generate_scenario(0, (1, 1), "assumption1-satisfying")).holds
+    assert check_assumption1(generate_scenario(0, (2, 4), "assumption1-satisfying")).holds
 
 
 def test_generate_rejects_unknown_profile():
