@@ -12,7 +12,6 @@ from .central_plan import (
     EMPTY_EXCELLENCE,
     EXACT_ENUMERATION_CAP,
     OUTSIDE,
-    Assignment,
     ExcellenceSet,
     GreedyStep,
     PlanSolution,

@@ -41,9 +41,6 @@ class ExcellenceSet:
 
     members: frozenset[tuple[str, str]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(tuple(m) for m in self.members))
-
     @classmethod
     def of(cls, pairs) -> "ExcellenceSet":
         return cls(members=frozenset((q, r) for q, r in pairs))
@@ -54,19 +51,18 @@ class ExcellenceSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def validate_against(self, inst: ScenarioInstance) -> None:
+    def _indices(self, inst: ScenarioInstance) -> list[tuple[int, int]]:
+        """Members as sorted (hospital index, ward index) pairs; a member
+        outside the instance raises an invalid-instance error."""
+        indices = []
         for q, r in self.members:
-            if q not in inst.hospitals or r not in inst.wards:
+            try:
+                indices.append((inst.hospitals.index(q), inst.wards.index(r)))
+            except ValueError:
                 raise InvalidInstanceError(
                     f"excellence pair ({q!r}, {r!r}) is not in the instance"
-                )
-
-    def _indices(self, inst: ScenarioInstance) -> list[tuple[int, int]]:
-        """Members as sorted (hospital index, ward index) pairs."""
-        return sorted((inst.hospital_index(q), inst.ward_index(r)) for q, r in self.members)
+                ) from None
+        return sorted(indices)
 
     def sorted_members(self, inst: ScenarioInstance) -> tuple[tuple[str, str], ...]:
         return tuple((inst.hospitals[qi], inst.wards[ri]) for qi, ri in self._indices(inst))
@@ -76,16 +72,6 @@ class ExcellenceSet:
 
 
 EMPTY_EXCELLENCE = ExcellenceSet(frozenset())
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Destination of every demand cell: (hospital id, ward id) or OUTSIDE."""
-
-    destinations: dict
-
-    def destination_of(self, cell: DemandCell):
-        return self.destinations[cell]
 
 
 @dataclass(frozen=True)
@@ -99,21 +85,25 @@ class GreedyStep:
 class PlanSolution:
     """An excellence set with its optimal assignment and cost breakdown.
 
-    z_value == excel_cost_part + patient_cost_part, and the excellence cost
-    never exceeds the budget. trace is non-empty only for greedy solutions.
+    assignment maps every demand cell to its destination, (hospital id, ward
+    id) or OUTSIDE. The excellence cost never exceeds the budget. trace is
+    non-empty only for greedy solutions.
     """
 
     excellence: ExcellenceSet
-    assignment: Assignment
-    z_value: Fraction
+    assignment: dict[DemandCell, tuple[str, str] | str]
     excel_cost_part: Fraction
     patient_cost_part: Fraction
     trace: tuple[GreedyStep, ...] = ()
 
+    @property
+    def z_value(self) -> Fraction:
+        """The plan's cost: upgrades plus patients."""
+        return self.excel_cost_part + self.patient_cost_part
+
 
 def admissible(excellence: ExcellenceSet, inst: ScenarioInstance) -> bool:
     """True when the set's total upgrade cost fits the budget."""
-    excellence.validate_against(inst)
     return excellence.cost(inst) <= inst.budget
 
 
@@ -156,7 +146,6 @@ def evaluate_Z(excellence: ExcellenceSet, inst: ScenarioInstance) -> PlanSolutio
     a cell only when its internal cost is strictly below the cell's current
     cost. So cost ties prefer OUTSIDE, then the lowest hospital index.
     """
-    excellence.validate_against(inst)
     excel_part = excellence.cost(inst)
     if excel_part > inst.budget:
         raise BudgetExceededError(
@@ -171,8 +160,7 @@ def evaluate_Z(excellence: ExcellenceSet, inst: ScenarioInstance) -> PlanSolutio
     patient_part = _patient_cost(inst, current)
     return PlanSolution(
         excellence=excellence,
-        assignment=Assignment(destinations=dict(zip(inst.demand_cells(), destinations))),
-        z_value=excel_part + patient_part,
+        assignment=dict(zip(inst.demand_cells(), destinations)),
         excel_cost_part=excel_part,
         patient_cost_part=patient_part,
     )
@@ -391,9 +379,13 @@ class StaircaseVerdict:
     the dominated pair (q2, r2) is not, in the orders it was checked against.
     """
 
-    holds: bool
     violation: tuple[tuple[str, str], tuple[str, str]] | None
     orders: TotalOrders
+
+    @property
+    def holds(self) -> bool:
+        """True iff no dominated pair is missing."""
+        return self.violation is None
 
 
 def check_staircase(solution: PlanSolution, orders: TotalOrders) -> StaircaseVerdict:
@@ -406,8 +398,8 @@ def check_staircase(solution: PlanSolution, orders: TotalOrders) -> StaircaseVer
         for q2 in orders.hospital_order[: hrank[q] + 1]:
             for r2 in orders.ward_order[: wrank[r] + 1]:
                 if (q2, r2) not in members:
-                    return StaircaseVerdict(False, ((q, r), (q2, r2)), orders)
-    return StaircaseVerdict(True, None, orders)
+                    return StaircaseVerdict(((q, r), (q2, r2)), orders)
+    return StaircaseVerdict(None, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +483,6 @@ def export_ilp(
 
     lines.append("Bounds")
     if forced_excellence is not None:
-        forced_excellence.validate_against(inst)
         for qi, ri in forced_excellence._indices(inst):
             lines.append(f" {y(qi, ri)} = 1")
 
@@ -526,7 +517,7 @@ def plan_to_dict(
         ],
     }
     for cell in inst.demand_cells():
-        dest = solution.assignment.destination_of(cell)
+        dest = solution.assignment[cell]
         doc["assignment"].append(
             {
                 "district": cell.district,

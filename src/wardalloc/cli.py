@@ -2,8 +2,8 @@
 regime, compare the two, and generate seeded instances.
 
 The commands and their help live in one table, COMMANDS.
-Exit codes: 0 success, 1 validation error, 2 size-guard or assumption error.
-"""
+Exit codes: 0 success, 1 validation error, 2 size-guard or assumption error
+(a derived number too long to write is a size guard)."""
 
 from __future__ import annotations
 
@@ -44,11 +44,8 @@ VERDICT_CRITERIA = {
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("dims must look like QxR, e.g. 2x3")
-    try:
-        nq, nr = int(parts[0]), int(parts[1])
+    try:  # a part that is no int, or not exactly two parts
+        nq, nr = map(int, text.lower().split("x"))
     except ValueError:
         raise argparse.ArgumentTypeError("dims must look like QxR, e.g. 2x3") from None
     return nq, nr

@@ -110,9 +110,6 @@ def payoff(inst: ScenarioInstance, profile: StrategyProfile) -> tuple[Fraction, 
     """
     if profile.hospitals != inst.hospitals:
         raise InvalidInstanceError("profile hospitals do not match the instance")
-    for w in profile.wards:
-        if w not in inst.wards:
-            raise InvalidInstanceError(f"profile chooses unknown ward {w!r}")
     return _split(inst, tuple(inst.ward_index(w) for w in profile.wards))
 
 
@@ -139,8 +136,14 @@ class EquilibriumReport:
     """Pure Nash equilibria of a payoff tensor, split by shape."""
 
     equilibria: tuple[StrategyProfile, ...]
-    uniform_equilibria: tuple[StrategyProfile, ...]
-    diversified_equilibria: tuple[StrategyProfile, ...]
+
+    @property
+    def uniform_equilibria(self) -> tuple[StrategyProfile, ...]:
+        return tuple(p for p in self.equilibria if p.is_uniform)
+
+    @property
+    def diversified_equilibria(self) -> tuple[StrategyProfile, ...]:
+        return tuple(p for p in self.equilibria if not p.is_uniform)
 
 
 def enumerate_pure_nash(tensor: PayoffTensor) -> EquilibriumReport:
@@ -166,13 +169,7 @@ def enumerate_pure_nash(tensor: PayoffTensor) -> EquilibriumReport:
                 break
         if stable:
             equilibria.append(StrategyProfile(hospitals=tensor.hospitals, wards=key))
-    uniform = tuple(p for p in equilibria if p.is_uniform)
-    diversified = tuple(p for p in equilibria if not p.is_uniform)
-    return EquilibriumReport(
-        equilibria=tuple(equilibria),
-        uniform_equilibria=uniform,
-        diversified_equilibria=diversified,
-    )
+    return EquilibriumReport(tuple(equilibria))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
@@ -30,41 +31,60 @@ _REJECTION_CAP = 1000
 # Most internal-cost entries (|Q|^2 * |R|) the generator may draw.
 _GENERATION_CAP = 10**6
 
-# Largest decimal exponent magnitude a rational string may carry, the same
-# bound as Python's default limit on the digits of an int string: Fraction
-# expands the exponent in full, so "1e999999999" would stall the load.
-_MAX_EXPONENT = 4300
+# Python's default limit on the digits of an int string. It bounds the
+# decimal exponent a rational string may carry, since Fraction expands the
+# exponent in full and "1e999999999" would stall the load, and the digits of
+# every numerator and denominator, so that each input value can be printed.
+_MAX_DIGITS = 4300
+_TOO_LONG = 10**_MAX_DIGITS  # the smallest int of more than _MAX_DIGITS digits
 
 
 def parse_rational(value, name: str = "value") -> Fraction:
     """Parse a JSON-borne rational: an int, a "num/den" string, or a decimal
-    string whose exponent is at most _MAX_EXPONENT in magnitude."""
+    string whose exponent is at most _MAX_DIGITS in magnitude. The numerator
+    and denominator may have at most _MAX_DIGITS digits each."""
     if isinstance(value, bool):
         raise InvalidInstanceError(f"{name}: expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
+        x = Fraction(value)
+    elif isinstance(value, Fraction):
+        x = value
+    elif isinstance(value, str):
         _, _, exponent = value.lower().partition("e")
         digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
         # leading zeros are gone, so the first five digits decide the bound
-        if digits.isdecimal() and int(digits[:5]) > _MAX_EXPONENT:
+        if digits.isdecimal() and int(digits[:5]) > _MAX_DIGITS:
             raise InvalidInstanceError(
-                f"{name}: decimal exponent of {value!r} exceeds {_MAX_EXPONENT}"
+                f"{name}: decimal exponent of {value!r} exceeds {_MAX_DIGITS}"
             )
         try:
-            return Fraction(value)
+            x = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInstanceError(f"{name}: cannot parse rational {value!r}") from exc
-    raise InvalidInstanceError(
-        f"{name}: expected int or 'num/den' string, got {type(value).__name__}"
-    )
+    else:
+        raise InvalidInstanceError(
+            f"{name}: expected int or 'num/den' string, got {type(value).__name__}"
+        )
+    num, den = x.as_integer_ratio()
+    # O(1): ints of unequal size compare without a digit walk
+    if abs(num) >= _TOO_LONG or den >= _TOO_LONG:
+        raise InvalidInstanceError(
+            f"{name}: more than {_MAX_DIGITS} digits in the numerator or "
+            "denominator, too long to print"
+        )
+    return x
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical serialized form, always "num/den"."""
-    return f"{x.numerator}/{x.denominator}"
+    """Canonical serialized form, always "num/den". A value too long for
+    Python to print raises a size-guard error."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # the interpreter's limit on the digits of an int string
+        raise InstanceTooLargeError(
+            "a derived value has more than the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits, too long to write"
+        ) from None
 
 
 def _entries(values, name: str, count: int):
@@ -163,9 +183,11 @@ class ScenarioInstance:
         population = _rationals(self.population, "population", (nq,))
         if 0 in population:
             raise InvalidInstanceError("population: every fraction must be strictly positive")
-        if sum(population) != 1:
+        total = sum(population)
+        if total != 1:
+            total = parse_rational(total, "population: the sum")  # raises if too long to print
             raise InvalidInstanceError(
-                f"population: fractions must sum to exactly 1, got {sum(population)}"
+                f"population: fractions must sum to exactly 1, got {total}"
             )
         group_sizes = tuple(_entries(self.group_sizes, "group_sizes", nr))
         for i, s in enumerate(group_sizes):
@@ -302,17 +324,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Outcome of one assumption check; holds iff violations is empty."""
+    """Outcome of one assumption check."""
 
     assumption: int
-    holds: bool
     violations: tuple[Violation, ...]
 
-
-def _report(assumption: int, violations: list[Violation]) -> AssumptionReport:
-    return AssumptionReport(
-        assumption=assumption, holds=not violations, violations=tuple(violations)
-    )
+    @property
+    def holds(self) -> bool:
+        """True iff the check found no violation."""
+        return not self.violations
 
 
 def _a1_failures(group_sizes, population):
@@ -343,7 +363,7 @@ def check_assumption1(inst: ScenarioInstance) -> AssumptionReport:
         )
         for k, value, i, j in _a1_failures(inst.group_sizes, inst.population)
     ]
-    return _report(1, violations)
+    return AssumptionReport(1, tuple(violations))
 
 
 def check_assumption2(inst: ScenarioInstance) -> AssumptionReport:
@@ -364,13 +384,13 @@ def check_assumption2(inst: ScenarioInstance) -> AssumptionReport:
         violations.append(
             Violation("inside-benefit-not-above-upgrade-cost", {}, benefit, total_upgrade)
         )
-    return _report(2, violations)
+    return AssumptionReport(2, tuple(violations))
 
 
 def check_assumption3(inst: ScenarioInstance) -> AssumptionReport:
     """Accepting the greedy plan even when it is not optimal is a modeling
     stance, not a property of instance data, so this check always holds."""
-    return _report(3, [])
+    return AssumptionReport(3, ())
 
 
 def check_assumption4(inst: ScenarioInstance) -> AssumptionReport:
@@ -387,8 +407,8 @@ def check_assumption4(inst: ScenarioInstance) -> AssumptionReport:
                         "other_ward": inst.wards[r],
                     }
                     witness = Violation("internal-cost-depends-on-ward", where, base, value)
-                    return _report(4, [witness])
-    return _report(4, [])
+                    return AssumptionReport(4, (witness,))
+    return AssumptionReport(4, ())
 
 
 def check_assumption5(inst: ScenarioInstance) -> AssumptionReport:
@@ -404,8 +424,9 @@ def check_assumption5(inst: ScenarioInstance) -> AssumptionReport:
                     "other_hospital": inst.hospitals[q],
                     "other_ward": inst.wards[r],
                 }
-                return _report(5, [Violation("upgrade-cost-not-uniform", where, base, value)])
-    return _report(5, [])
+                witness = Violation("upgrade-cost-not-uniform", where, base, value)
+                return AssumptionReport(5, (witness,))
+    return AssumptionReport(5, ())
 
 
 def all_assumptions(inst: ScenarioInstance) -> tuple[AssumptionReport, ...]:

@@ -252,7 +252,7 @@ def test_acceptance_07_degenerate_solutions(capsys):
             sol = solver(inst)
             ok = ok and len(sol.excellence) == 0
             ok = ok and all(
-                sol.assignment.destination_of(c) == OUTSIDE
+                sol.assignment[c] == OUTSIDE
                 for c in inst.demand_cells()
             )
     elapsed = time.perf_counter() - started

@@ -43,7 +43,7 @@ from wardalloc import (
     total_orders,
     ward_order,
 )
-from wardalloc.cli import main
+from wardalloc.cli import _plan_text, main
 
 
 def line_instance(positions, weights, *, out=1000, size_per_ward=None, nr=1,
@@ -98,9 +98,18 @@ def test_excellence_set_basics(comparable_market):
 
 
 def test_excellence_set_rejects_unknown_pair(comparable_market):
+    # every use converts the ids once, and that conversion names the pair
     t = ExcellenceSet.of([("q1", "zz")])
-    with pytest.raises(InvalidInstanceError):
-        t.validate_against(comparable_market)
+    uses = (
+        t.cost,
+        t.sorted_members,
+        lambda inst: admissible(t, inst),
+        lambda inst: evaluate_Z(t, inst),
+        lambda inst: export_ilp(inst, forced_excellence=t),
+    )
+    for use in uses:
+        with pytest.raises(InvalidInstanceError, match=r"^excellence pair \('q1', 'zz'\) is not"):
+            use(comparable_market)
 
 
 def test_admissible_respects_budget():
@@ -116,7 +125,7 @@ def test_evaluate_empty_set_sends_everyone_outside(comparable_market):
     sol = evaluate_Z(EMPTY_EXCELLENCE, comparable_market)
     assert sol.excel_cost_part == 0
     assert all(
-        sol.assignment.destination_of(c) == OUTSIDE
+        sol.assignment[c] == OUTSIDE
         for c in comparable_market.demand_cells()
     )
     assert sol.z_value == sol.patient_cost_part
@@ -152,7 +161,7 @@ def test_evaluate_tie_prefers_outside():
     )
     sol = evaluate_Z(ExcellenceSet.of([("q1", "r1")]), inst)
     (cell,) = inst.demand_cells()
-    assert sol.assignment.destination_of(cell) == OUTSIDE
+    assert sol.assignment[cell] == OUTSIDE
 
 
 def test_evaluate_tie_prefers_lower_hospital_index():
@@ -167,13 +176,13 @@ def test_evaluate_tie_prefers_lower_hospital_index():
         ExcellenceSet.of([("q2", "r1"), ("q1", "r1")]), inst
     )
     for cell in inst.demand_cells():
-        assert sol.assignment.destination_of(cell) == ("q1", "r1")
+        assert sol.assignment[cell] == ("q1", "r1")
 
 
 def test_evaluate_assigns_every_cell():
     inst = generate_scenario(21, (3, 2))
     sol = evaluate_Z(EMPTY_EXCELLENCE, inst)
-    assert set(sol.assignment.destinations) == set(inst.demand_cells())
+    assert set(sol.assignment) == set(inst.demand_cells())
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +218,7 @@ def test_greedy_stops_without_improvement():
     sol = greedy_solve(inst)
     assert members_of(sol) == set()
     assert all(
-        sol.assignment.destination_of(c) == OUTSIDE for c in inst.demand_cells()
+        sol.assignment[c] == OUTSIDE for c in inst.demand_cells()
     )
 
 
@@ -561,6 +570,21 @@ def test_staircase_flags_missing_dominating_pair():
     assert verdict.violation == (("q2", "r1"), ("q1", "r1"))
 
 
+def test_report_carries_the_staircase_violation():
+    inst = stair_instance()
+    orders = TotalOrders(ward_order=("r1", "r2"), hospital_order=("q1", "q2"))
+    sol = staircase_fixture_solution(inst, [("q2", "r1")])
+    doc = plan_to_dict(inst, sol, check_staircase(sol, orders))
+    assert json.loads(json.dumps(doc["staircase"])) == {
+        "holds": False,
+        "violation": [["q2", "r1"], ["q1", "r1"]],
+        "ward_order": ["r1", "r2"],
+        "hospital_order": ["q1", "q2"],
+    }
+    text = _plan_text({"command": "central-greedy", **doc})
+    assert "staircase: False (wards r1 > r2; hospitals q1 > q2)" in text.splitlines()
+
+
 def test_staircase_respects_given_orders():
     # same set, opposite hospital order: the verdict flips
     inst = stair_instance()
@@ -703,6 +727,22 @@ def test_export_budget_row_scales_generated_costs():
             for ri in range(inst.num_wards):
                 coef = coefs[f"y_{qi}_{ri}"]
                 assert coef * inst.budget == rhs * inst.excel_cost[qi][ri]
+
+
+def test_export_all_zero_costs_names_one_variable():
+    # every term is zero, so objective and budget row fall back to "0 y_0_0"
+    inst = make_instance((2,), (Fraction(1),), excel=[[0]], internal=[[[0]]], out=[[0]], budget=0)
+    text = export_ilp(inst)
+    lines = text.splitlines()
+    assert " obj: 0 y_0_0" in lines
+    assert " budget: 0 y_0_0 <= 0" in lines
+    objective, constraints, _, binaries = parse_lp(text)
+    assert objective == {"y_0_0": 0.0}
+    assert ("budget", {"y_0_0": 0.0}, "<=", 0.0) in constraints
+    assert binaries == ["y_0_0", "x_0_0_0", "xout_0_0"]
+    value = solve_lp_external(text)
+    if value is not None:  # scipy is installed
+        assert value == 0 == exact_solve(inst).z_value
 
 
 @pytest.mark.skipif(

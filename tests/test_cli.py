@@ -114,9 +114,12 @@ def test_gen_unsatisfiable_profile_exits_2(capsys):
 
 
 def test_gen_rejects_malformed_dims(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "--seed", "1", "--dims", "2by3"])
-    assert exc.value.code == 2
+    # one part, a part that is no int, three parts
+    for dims in ("2by3", "2xb", "2x3x4"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--seed", "1", "--dims", dims])
+        assert exc.value.code == 2
+        assert "dims must look like QxR, e.g. 2x3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +331,44 @@ def test_schema_that_only_equals_one_exits_1(tmp_path, capsys, schema):
     assert "schema" in captured.err
 
 
+# two coprime 2,201-digit denominators: their sum's has 4,401 digits
+A, B = 10**2200 + 1, 10**2200 + 3
+TOO_LONG = "more than 4300 digits in the numerator or denominator, too long to print"
+
+
+@pytest.mark.parametrize(
+    "command, dims, field, value, code, message",
+    [
+        ("central-greedy", (2, 2), "out_cost", "1e4300", 1, f"out_cost[0][0]: {TOO_LONG}"),
+        ("central-exact", (2, 2), "out_cost", "1e4300", 1, f"out_cost[0][0]: {TOO_LONG}"),
+        ("compare", (2, 2), "out_cost", "1e4300", 1, f"out_cost[0][0]: {TOO_LONG}"),
+        ("check", (2, 2), "excel_cost", "1e4300", 1, f"excel_cost[0][0]: {TOO_LONG}"),
+        ("check", (2, 2), "out_cost", "-1e4300", 1, f"out_cost[0][0]: {TOO_LONG}"),
+        ("check", (1, 1), "population", ["1e-4300"], 1, f"population[0]: {TOO_LONG}"),
+        ("check", (2, 1), "population", [f"1/{A}", f"1/{B}"], 1,
+         f"population: the sum: {TOO_LONG}"),
+        # each input prints, but z = count * 10**4299 + ... does not
+        ("central-greedy", (2, 2), "out_cost", "1e4299", 2, "too long to write"),
+    ],
+)
+def test_numbers_too_long_to_print_exit_cleanly(
+    tmp_path, capsys, command, dims, field, value, code, message
+):
+    doc = instance_to_dict(generate_scenario(0, dims))
+    if field == "population":
+        doc[field] = value
+    else:
+        doc[field][0][0] = value
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    got, captured = run_cli(command, "--input", str(path), capsys=capsys)
+    assert got == code
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 INPUT_COMMANDS = ("check", "local", "central-greedy", "central-exact", "compare")
 
 
@@ -438,6 +479,20 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert load_scenario(out) == generate_scenario(2, (2, 2))
+
+
+def test_import_leaves_logging_and_argparse_unloaded():
+    # both cost set-up time on every run; only the command line needs them
+    source_root = str(Path(wardalloc.__file__).resolve().parents[1])
+    code = "import sys, wardalloc; print(sorted({'logging', 'argparse'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

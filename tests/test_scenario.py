@@ -72,12 +72,37 @@ def test_load_rejects_huge_decimal_exponents(text):
 def test_parse_rational_keeps_bounded_decimal_exponents():
     assert parse_rational("1.5e3") == 1500
     assert parse_rational("25E-2") == Fraction(1, 4)
-    assert parse_rational("1e4_300") == 10**4300
+    # the exponent bound itself is allowed when the value prints
+    assert parse_rational("0.01e4_300") == 10**4298
+    assert parse_rational("1e4_299") == 10**4299
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10**4300, -(10**4300), Fraction(1, 10**4300), Fraction(10**4300 + 1, 3), "1e4300",
+     "-1e-4300", "123.4e4298"],
+    ids=["10^4300", "-10^4300", "1/10^4300", "(10^4300+1)/3", "1e4300", "-1e-4300",
+         "123.4e4298"],
+)
+def test_parse_rational_rejects_values_too_long_to_print(value):
+    with pytest.raises(InvalidInstanceError, match=r"^field: more than 4300 digits"):
+        parse_rational(value, "field")
+
+
+def test_parse_rational_keeps_the_longest_printable_values():
+    for value in (10**4300 - 1, -(10**4300 - 1), Fraction(1, 10**4300 - 1)):
+        assert parse_rational(value) == value
+        assert parse_rational(format_rational(value)) == value
 
 
 def test_format_rational_round_trips():
     for x in (Fraction(3, 4), Fraction(5), Fraction(-7, 2), Fraction(0)):
         assert parse_rational(format_rational(x)) == x
+
+
+def test_format_rational_refuses_a_value_too_long_to_write():
+    with pytest.raises(InstanceTooLargeError, match="too long to write"):
+        format_rational(Fraction(10**4300))
 
 
 # ---------------------------------------------------------------------------
