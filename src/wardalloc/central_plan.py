@@ -109,12 +109,13 @@ def admissible(excellence: ExcellenceSet, inst: ScenarioInstance) -> bool:
 
 def _outside_costs(inst: ScenarioInstance) -> list[Fraction]:
     """Per-cell cost with every patient treated outside, by cell position."""
-    return [inst.out_cost[d][r] for d, r, _ in inst._cell_index]
+    return [out for _, _, _, out, _ in inst._cell_index]
 
 
 def _patient_cost(inst: ScenarioInstance, current: list[Fraction]) -> Fraction:
     return sum(
-        (count * c for (_, _, count), c in zip(inst._cell_index, current)), Fraction(0)
+        (count * c for (_, _, count, _, _), c in zip(inst._cell_index, current)),
+        Fraction(0),
     )
 
 
@@ -128,8 +129,8 @@ def _improvements(inst: ScenarioInstance, current: list[Fraction], qi: int, ri: 
     taken = []
     saving = Fraction(0)
     for pos in range(ri * nq, (ri + 1) * nq):  # cells are ward-major
-        d, _, count = cells[pos]
-        c_in = inst.internal_cost[d][qi][ri]
+        _, _, count, _, internal = cells[pos]
+        c_in = internal[qi]
         if c_in < current[pos]:
             taken.append((pos, c_in))
             saving += count * (current[pos] - c_in)
@@ -342,8 +343,8 @@ def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str
         # savings scale with the patient counts, so wards with the same outside
         # costs and proportional counts (demand shares) order alike
         cells = inst._cell_index[ri * nq : (ri + 1) * nq]
-        unit = math.gcd(*(count for _, _, count in cells)) or 1
-        profile = tuple((inst.out_cost[d][ri], count // unit) for d, _, count in cells)
+        unit = math.gcd(*(count for _, _, count, _, _ in cells)) or 1
+        profile = tuple((out, count // unit) for _, _, count, out, _ in cells)
         if profile not in by_profile:
             steps = _greedy_steps(inst, [(qi, ri) for qi in range(nq)])
             order = tuple(inst.hospitals[qi] for _, qi, _ in steps)
@@ -406,20 +407,29 @@ def check_staircase(solution: PlanSolution, orders: TotalOrders) -> StaircaseVer
 # CPLEX-LP model export
 
 
-def _lp_num(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return repr(x.numerator / x.denominator)
+def _lp_num(x: Fraction, row: str, var: str | None = None) -> str:
+    """Row `row`'s coefficient of var (None: its right-hand side) as an LP
+    number: an integer exactly, any other value as the nearest float. A value
+    no int string or float can hold raises a size-guard error naming both."""
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return repr(x.numerator / x.denominator)
+    # ValueError: the interpreter's limit on the digits of an int string
+    except (OverflowError, ValueError):
+        what = "the right-hand side" if var is None else f"the coefficient of {var}"
+        raise InstanceTooLargeError(f"LP row {row}: {what} is too large to write") from None
 
 
-def _lp_expr(terms: list[tuple[Fraction, str]], fallback_var: str) -> list[str]:
-    """Render coefficient/variable terms, several per line, skipping zeros."""
-    rendered = [f"{_lp_num(coef)} {var}" for coef, var in terms if coef != 0]
+def _lp_expr(row: str, terms: list[tuple[Fraction, str]], fallback_var: str) -> list[str]:
+    """Render row `row`'s coefficient/variable terms, several per line,
+    skipping zeros."""
+    rendered = [f"{_lp_num(coef, row, var)} {var}" for coef, var in terms if coef != 0]
     if not rendered:
         rendered = [f"0 {fallback_var}"]
     lines = []
     for i in range(0, len(rendered), 6):
-        prefix = " " if i == 0 else "   + "
+        prefix = f" {row}: " if i == 0 else "   + "
         lines.append(prefix + " + ".join(rendered[i : i + 6]))
     return lines
 
@@ -435,59 +445,42 @@ def export_ilp(
     internal placement only at upgraded hospitals, upgrades within budget.
     The budget row and its right-hand side are multiplied by the least common
     multiple of their denominators, so they are written as exact integers;
-    non-integral objective coefficients are written as decimal floats.
+    non-integral objective coefficients are written as decimal floats. A
+    coefficient too large to write raises a size-guard error naming it.
     forced_excellence pins those y variables to 1 via the bounds section
     (fix-and-solve cross checks).
     """
     nq, nr = inst.num_hospitals, inst.num_wards
-    cells = inst._cell_index
-
-    def y(qi, ri):
-        return f"y_{qi}_{ri}"
-
-    def x(di, ri, qi):
-        return f"x_{di}_{ri}_{qi}"
-
-    def xout(di, ri):
-        return f"xout_{di}_{ri}"
-
+    ys = [f"y_{qi}_{ri}" for qi in range(nq) for ri in range(nr)]
     # every variable once, the y terms first; Binary and the budget row read this list
-    obj_terms = [(inst.excel_cost[qi][ri], y(qi, ri)) for qi in range(nq) for ri in range(nr)]
-    for di, ri, count in cells:
-        for qi in range(nq):
-            obj_terms.append((count * inst.internal_cost[di][qi][ri], x(di, ri, qi)))
-        obj_terms.append((count * inst.out_cost[di][ri], xout(di, ri)))
+    terms = list(zip([c for row in inst.excel_cost for c in row], ys))
+    cells = []  # (cell, ward index, x names, xout name) per demand cell
+    for di, ri, count, out, internal in inst._cell_index:
+        cell = f"{di}_{ri}"
+        xs = [f"x_{cell}_{qi}" for qi in range(nq)]
+        xout = f"xout_{cell}"
+        terms.extend(zip([count * c for c in internal], xs))
+        terms.append((count * out, xout))
+        cells.append((cell, ri, xs, xout))
 
-    lines = ["Minimize"]
-    expr = _lp_expr(obj_terms, y(0, 0))
-    lines.append(" obj:" + expr[0])
-    lines.extend(expr[1:])
-
-    lines.append("Subject To")
-    for di, ri, _ in cells:
-        vars_ = [xout(di, ri)] + [x(di, ri, qi) for qi in range(nq)]
-        lines.append(f" assign_{di}_{ri}: " + " + ".join(vars_) + " = 1")
-    for di, ri, _ in cells:
-        for qi in range(nq):
-            lines.append(
-                f" link_{di}_{ri}_{qi}: {x(di, ri, qi)} - {y(qi, ri)} <= 0"
-            )
-    scale = math.lcm(
-        inst.budget.denominator, *(c.denominator for row in inst.excel_cost for c in row)
-    )
-    budget_terms = [(scale * coef, var) for coef, var in obj_terms[: nq * nr]]
-    expr = _lp_expr(budget_terms, y(0, 0))
-    budget_lines = [" budget:" + expr[0]] + expr[1:]
-    budget_lines[-1] += f" <= {_lp_num(scale * inst.budget)}"
-    lines.extend(budget_lines)
+    lines = ["Minimize", *_lp_expr("obj", terms, ys[0]), "Subject To"]
+    for cell, _, xs, xout in cells:
+        lines.append(f" assign_{cell}: {xout} + " + " + ".join(xs) + " = 1")
+    for cell, ri, xs, _ in cells:
+        lines.extend(
+            f" link_{cell}_{qi}: {x} - {ys[qi * nr + ri]} <= 0" for qi, x in enumerate(xs)
+        )
+    scale = math.lcm(inst.budget.denominator, *(c.denominator for c, _ in terms[: nq * nr]))
+    lines.extend(_lp_expr("budget", [(scale * c, y) for c, y in terms[: nq * nr]], ys[0]))
+    lines[-1] += f" <= {_lp_num(scale * inst.budget, 'budget')}"
 
     lines.append("Bounds")
     if forced_excellence is not None:
         for qi, ri in forced_excellence._indices(inst):
-            lines.append(f" {y(qi, ri)} = 1")
+            lines.append(f" {ys[qi * nr + ri]} = 1")
 
     lines.append("Binary")
-    lines.extend(f" {var}" for _, var in obj_terms)
+    lines.extend(f" {var}" for _, var in terms)
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -10,8 +10,8 @@ class InvalidInstanceError(WardallocError):
 
 
 class InstanceTooLargeError(WardallocError):
-    """A size guard on the work or memory a run would need, or on the digits
-    of a number it writes, was exceeded."""
+    """A size guard on the work or memory a run would need, or on the size of
+    a number it writes, was exceeded."""
 
 
 class GenerationError(WardallocError):

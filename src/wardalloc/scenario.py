@@ -247,13 +247,18 @@ class ScenarioInstance:
         )
 
     @functools.cached_property
-    def _cell_index(self) -> tuple[tuple[int, int, int], ...]:
-        """(district index, ward index, count) per demand cell, aligned with
-        demand_cells(); the solvers and checkers read cells through this."""
+    def _cell_index(self) -> tuple[tuple[int, int, int, Fraction, tuple[Fraction, ...]], ...]:
+        """(district index, ward index, count, outside cost, internal cost at
+        each hospital index) per demand cell, aligned with demand_cells(). The
+        one place that looks up a cell's costs: the solvers and checkers read
+        cells through this."""
         nq = self.num_hospitals
-        return tuple(
-            (pos % nq, pos // nq, cell.count) for pos, cell in enumerate(self._cells)
-        )
+        rows = []
+        for pos, cell in enumerate(self._cells):
+            ri, di = divmod(pos, nq)
+            internal = tuple(row[ri] for row in self.internal_cost[di])
+            rows.append((di, ri, cell.count, self.out_cost[di][ri], internal))
+        return tuple(rows)
 
 
 def largest_remainder_split(total: int, shares: Sequence[Fraction]) -> list[int]:
@@ -376,9 +381,8 @@ def check_assumption2(inst: ScenarioInstance) -> AssumptionReport:
             Violation("budget-below-cheapest-upgrade", {}, inst.budget, min_cost)
         )
     benefit = Fraction(0)
-    for d, r, count in inst._cell_index:
-        for q in range(inst.num_hospitals):
-            benefit += count * (inst.out_cost[d][r] - inst.internal_cost[d][q][r])
+    for _, _, count, out, internal in inst._cell_index:
+        benefit += count * sum(out - c_in for c_in in internal)
     total_upgrade = sum(sum(row) for row in inst.excel_cost)
     if not benefit > total_upgrade:
         violations.append(
@@ -559,10 +563,15 @@ def generate_scenario(
     nq, nr = dims
     if nq < 1 or nr < 1:
         raise InvalidInstanceError("dims: need at least one hospital and one ward type")
-    if nq * nq * nr > _GENERATION_CAP:
+    size = nq * nq * nr
+    if size > _GENERATION_CAP:
+        # past _MAX_DIGITS digits an int cannot print; a smaller size bounds both dims
+        if size < _TOO_LONG:
+            needs = f"{nq}x{nr} needs {size}"
+        else:
+            needs = f"need at least 10**{_MAX_DIGITS}"
         raise InstanceTooLargeError(
-            f"dims: {nq}x{nr} needs {nq * nq * nr} internal costs, over the "
-            f"generator's cap of {_GENERATION_CAP}"
+            f"dims: {needs} internal costs, over the generator's cap of {_GENERATION_CAP}"
         )
     if profile not in PROFILES:
         raise InvalidInstanceError(

@@ -243,9 +243,10 @@ def unpruned_best(inst):
 def parse_lp(text):
     """Read the CPLEX-LP subset the exporter emits.
 
-    Returns (objective, constraints, fixed_ones, binaries): objective maps
+    Returns (objective, constraints, fixed, binaries): objective maps
     variable -> coefficient; each constraint is (name, {var: coef}, op, rhs)
-    with op one of "<=", "=".
+    with op one of "<=", "="; fixed maps each variable that a bound line
+    fixes ("var = 1" or "var = 0") to that value.
     """
     lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
     sections = {}
@@ -297,13 +298,13 @@ def parse_lp(text):
             op = "="
         constraints.append((name.strip(), read_terms(expr.split()), op, float(rhs)))
 
-    fixed_ones = set()
+    fixed = {}
     for ln in sections.get("Bounds", []):
         var, value = (part.strip() for part in ln.split("="))
-        assert value == "1"
-        fixed_ones.add(var)
+        assert value in ("0", "1")
+        fixed[var] = int(value)
     binaries = [ln.strip() for ln in sections.get("Binary", [])]
-    return objective, constraints, fixed_ones, binaries
+    return objective, constraints, fixed, binaries
 
 
 def _is_number(token):
@@ -323,7 +324,7 @@ def solve_lp_external(text):
     except ImportError:
         return None
 
-    objective, constraints, fixed_ones, binaries = parse_lp(text)
+    objective, constraints, fixed, binaries = parse_lp(text)
     names = sorted(set(binaries) | set(objective))
     index = {v: i for i, v in enumerate(names)}
     c = np.zeros(len(names))
@@ -339,8 +340,8 @@ def solve_lp_external(text):
         ubs.append(rhs)
     lower = np.zeros(len(names))
     upper = np.ones(len(names))
-    for var in fixed_ones:
-        lower[index[var]] = 1.0
+    for var, value in fixed.items():  # fixed at 1 or at 0
+        lower[index[var]] = upper[index[var]] = value
     result = milp(
         c=c,
         constraints=LinearConstraint(np.array(rows), lbs, ubs),

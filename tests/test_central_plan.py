@@ -670,7 +670,7 @@ def test_export_forced_excellence_bounds():
     forced = ExcellenceSet.of([(inst.hospitals[1], inst.wards[0])])
     text = export_ilp(inst, forced_excellence=forced)
     _, _, fixed, _ = parse_lp(text)
-    assert fixed == {"y_1_0"}
+    assert fixed == {"y_1_0": 1}
     with pytest.raises(InvalidInstanceError):
         export_ilp(inst, forced_excellence=ExcellenceSet.of([("zz", "r1")]))
 
@@ -687,6 +687,41 @@ def test_export_fractional_coefficients_parse():
     objective, _, _, _ = parse_lp(export_ilp(inst))
     assert objective["y_0_0"] == 3.5
     assert abs(objective["x_0_0_0"] - 1.0) < 1e-12
+
+
+def one_cell(size, out, *, excel=1, budget=1):
+    """A 1x1 instance of population 1 and internal cost 1."""
+    return make_instance(
+        (size,), (Fraction(1),), excel=[[excel]], internal=[[[1]]], out=[[out]], budget=budget
+    )
+
+
+def test_export_writes_ordinary_coefficients_as_before():
+    text = export_ilp(one_cell(1, "1/3", budget="9e4298"))
+    assert " obj: 1 y_0_0 + 1 x_0_0_0 + 0.3333333333333333 xout_0_0" in text.splitlines()
+    assert f" budget: 1 y_0_0 <= 9{'0' * 4298}" in text.splitlines()
+
+
+@pytest.mark.parametrize(
+    "inst, message",
+    [
+        # 10**400 / 3 is beyond the largest float
+        pytest.param(one_cell(1, f"1{'0' * 400}/3"), "LP row obj: the coefficient of xout_0_0",
+                     id="float-overflow"),
+        # 10 * 10**4299 has 4,301 digits, more than Python writes
+        pytest.param(one_cell(10, "1e4299"), "LP row obj: the coefficient of xout_0_0",
+                     id="too-many-digits"),
+        # the budget row is multiplied by 10, then by 7
+        pytest.param(one_cell(1, 1, excel="1e4299", budget="1/10"),
+                     "LP row budget: the coefficient of y_0_0", id="budget-coefficient"),
+        pytest.param(one_cell(1, 1, excel="1/7", budget="9e4299"),
+                     "LP row budget: the right-hand side", id="budget-rhs"),
+    ],
+)
+def test_export_coefficient_too_large_to_write_raises(inst, message):
+    with pytest.raises(InstanceTooLargeError) as info:
+        export_ilp(inst)
+    assert str(info.value) == f"{message} is too large to write"
 
 
 def budget_row(text):

@@ -103,6 +103,15 @@ def test_gen_past_the_size_cap_exits_2(capsys):
     assert "generator's cap" in captured.err
 
 
+def test_gen_dims_too_long_to_print_exit_2(capsys):
+    code, captured = run_cli("gen", "--seed", "0", "--dims", "9" * 4300 + "x1", capsys=capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "generator's cap" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_gen_unsatisfiable_profile_exits_2(capsys):
     code, captured = run_cli(
         "gen", "--seed", "0", "--dims", "1x4", "--profile", "assumption1-satisfying",

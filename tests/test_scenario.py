@@ -550,6 +550,16 @@ def test_generate_guards_size_before_drawing():
     assert generate_scenario(0, (30, 20)).num_hospitals == 30
 
 
+@pytest.mark.parametrize("dims", [(10**2200, 1), (10**5000, 1), (2, 10**5000)])
+def test_generate_guard_message_prints_for_any_dims(dims):
+    # |Q|^2 * |R| here has more digits than Python prints, and so may a dim
+    with pytest.raises(InstanceTooLargeError, match="generator's cap") as info:
+        generate_scenario(0, dims)
+    assert str(info.value) == (
+        "dims: need at least 10**4300 internal costs, over the generator's cap of 1000000"
+    )
+
+
 def test_generate_refuses_assumption1_with_one_hospital(monkeypatch):
     # one district makes every slice a whole group, so the smallest group
     # never exceeds another: refused before the generator draws anything
