@@ -324,18 +324,15 @@ def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str
     every ward gives; if two wards disagree (their outside costs or demand
     shares may still differ), raises an assumption violation naming both.
     """
-    a4 = check_assumption4(inst)
-    if not a4.holds:
-        raise AssumptionViolationError(
-            "hospital convenience order requires internal costs independent of "
-            f"the ward type (assumption 4): {a4.violations[0]}"
-        )
-    a5 = check_assumption5(inst)
-    if not a5.holds:
-        raise AssumptionViolationError(
-            "hospital convenience order requires a uniform upgrade cost "
-            f"(assumption 5): {a5.violations[0]}"
-        )
+    for check, requirement in (
+        (check_assumption4, "internal costs independent of the ward type (assumption 4)"),
+        (check_assumption5, "a uniform upgrade cost (assumption 5)"),
+    ):
+        report = check(inst)
+        if not report.holds:
+            raise AssumptionViolationError(
+                f"hospital convenience order requires {requirement}: {report.violations[0]}"
+            )
     nq = inst.num_hospitals
     wards = range(inst.num_wards) if ward is None else [inst.ward_index(ward)]
     by_profile = {}  # first ward of each profile and its order
@@ -410,15 +407,19 @@ def check_staircase(solution: PlanSolution, orders: TotalOrders) -> StaircaseVer
 def _lp_num(x: Fraction, row: str, var: str | None = None) -> str:
     """Row `row`'s coefficient of var (None: its right-hand side) as an LP
     number: an integer exactly, any other value as the nearest float. A value
-    no int string or float can hold raises a size-guard error naming both."""
+    no int string or float can hold, or a non-zero one whose nearest float is
+    0, raises a size-guard error naming both."""
     try:
         if x.denominator == 1:
             return str(x.numerator)
-        return repr(x.numerator / x.denominator)
+        if value := x.numerator / x.denominator:
+            return repr(value)
+        size = "small"
     # ValueError: the interpreter's limit on the digits of an int string
     except (OverflowError, ValueError):
-        what = "the right-hand side" if var is None else f"the coefficient of {var}"
-        raise InstanceTooLargeError(f"LP row {row}: {what} is too large to write") from None
+        size = "large"
+    what = "the right-hand side" if var is None else f"the coefficient of {var}"
+    raise InstanceTooLargeError(f"LP row {row}: {what} is too {size} to write")
 
 
 def _lp_expr(row: str, terms: list[tuple[Fraction, str]], fallback_var: str) -> list[str]:

@@ -232,12 +232,10 @@ def _plan_text(report: dict) -> str:
                     a=Fraction(step["z_after"]),
                 )
             )
-    inside = sum(
-        c["count"] for c in report["assignment"] if c["destination"] != central_plan.OUTSIDE
-    )
     outside = sum(
         c["count"] for c in report["assignment"] if c["destination"] == central_plan.OUTSIDE
     )
+    inside = sum(c["count"] for c in report["assignment"]) - outside
     lines.append(f"patients treated inside: {inside}, outside: {outside}")
     if "staircase" in report:
         s = report["staircase"]

@@ -105,11 +105,13 @@ def _rationals(values, name: str, shape: tuple[int, ...]):
         return tuple(
             _rationals(v, f"{name}[{i}]", shape[1:]) for i, v in enumerate(values)
         )
-    row = tuple([parse_rational(v, f"{name}[{i}]") for i, v in enumerate(values)])
-    for i, x in enumerate(row):
+    row = []
+    for i, v in enumerate(values):
+        x = parse_rational(v, f"{name}[{i}]")
         if x < 0:
             raise InvalidInstanceError(f"{name}[{i}]: must be non-negative, got {x}")
-    return row
+        row.append(x)
+    return tuple(row)
 
 
 @dataclass(frozen=True)

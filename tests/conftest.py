@@ -8,6 +8,7 @@ LP export against a tiny standalone CPLEX-LP parser plus an external
 MILP solver when one is installed.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -185,6 +186,16 @@ def reference_hospital_order(inst, ward):
         ]
         order.append(min(options)[2])
     return tuple(order)
+
+
+# Budgets as shares of all upgrade costs: tight, middling and loose.
+SHARES = (Fraction(1, 16), Fraction(1, 4), Fraction(1, 2))
+
+
+def with_budget_share(inst, share):
+    """The instance with its budget set to `share` of all upgrade costs."""
+    total = sum((sum(row) for row in inst.excel_cost), Fraction(0))
+    return dataclasses.replace(inst, budget=total * share)
 
 
 def tie_heavy_instance(seed, dims=None):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    SHARES,
     brute_z,
     make_instance,
     parse_lp,
@@ -18,6 +19,7 @@ from conftest import (
     solve_lp_external,
     tie_heavy_instance,
     unpruned_best,
+    with_budget_share,
 )
 from wardalloc import (
     EMPTY_EXCELLENCE,
@@ -68,11 +70,6 @@ def line_instance(positions, weights, *, out=1000, size_per_ward=None, nr=1,
 
 def members_of(solution):
     return set(solution.excellence.members)
-
-
-def with_budget_share(inst, share):
-    total = sum((sum(row) for row in inst.excel_cost), Fraction(0))
-    return dataclasses.replace(inst, budget=total * share)
 
 
 def with_mixed_prices(inst, seed):
@@ -298,7 +295,7 @@ def test_greedy_matches_reference_when_pairs_stop_fitting():
         for seed in range(4)
         for dims in ((3, 4), (4, 3))
         for profile in PROFILES
-        for share in (Fraction(1, 16), Fraction(1, 4), Fraction(1, 2))
+        for share in SHARES
     ]
     for inst in mixed + shares:
         sol = greedy_solve(inst)
@@ -348,7 +345,7 @@ def test_exact_matches_unpruned_enumeration():
         for seed, (dims, profile) in enumerate(
             [((3, 4), PROFILES[0]), ((4, 3), PROFILES[2]), ((2, 5), PROFILES[1])]
         )
-        for share in (Fraction(1, 16), Fraction(1, 4), Fraction(1, 2))
+        for share in SHARES
     ]
     wide += [tie_heavy_instance(seed, dims) for seed, dims in enumerate([(4, 3), (2, 5)])]
     wide.append(tie_heavy_instance(1478, (2, 2)))
@@ -700,6 +697,9 @@ def test_export_writes_ordinary_coefficients_as_before():
     text = export_ilp(one_cell(1, "1/3", budget="9e4298"))
     assert " obj: 1 y_0_0 + 1 x_0_0_0 + 0.3333333333333333 xout_0_0" in text.splitlines()
     assert f" budget: 1 y_0_0 <= 9{'0' * 4298}" in text.splitlines()
+    # 10**-300 is a normal float
+    text = export_ilp(one_cell(1, f"1/1{'0' * 300}"))
+    assert " obj: 1 y_0_0 + 1 x_0_0_0 + 1e-300 xout_0_0" in text.splitlines()
 
 
 @pytest.mark.parametrize(
@@ -722,6 +722,13 @@ def test_export_coefficient_too_large_to_write_raises(inst, message):
     with pytest.raises(InstanceTooLargeError) as info:
         export_ilp(inst)
     assert str(info.value) == f"{message} is too large to write"
+
+
+def test_export_coefficient_too_small_to_write_raises():
+    # 10**-400 is not zero, but its nearest float is
+    with pytest.raises(InstanceTooLargeError) as info:
+        export_ilp(one_cell(1, f"1/1{'0' * 400}"))
+    assert str(info.value) == "LP row obj: the coefficient of xout_0_0 is too small to write"
 
 
 def budget_row(text):

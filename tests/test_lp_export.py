@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import solve_lp_external
+from conftest import SHARES, solve_lp_external, with_budget_share
 from wardalloc import (
     EMPTY_EXCELLENCE,
     PROFILES,
@@ -144,11 +144,27 @@ SOLVER_CASES = [
 ]
 
 
-@pytest.mark.skipif(
+needs_milp = pytest.mark.skipif(
     solve_lp_external("Minimize\n obj: 1 a\nSubject To\n c1: a = 1\nBinary\n a\nEnd\n")
     is None,
     reason="no external MILP solver installed",
 )
+
+
+def fixed_lp(inst, excellence):
+    """The export with y fixed to 1 on excellence's pairs and to 0 on all
+    others (forced_excellence pins y to 1 only)."""
+    zeros = "".join(
+        f" y_{qi}_{ri} = 0\n"
+        for qi, q in enumerate(inst.hospitals)
+        for ri, r in enumerate(inst.wards)
+        if (q, r) not in excellence
+    )
+    text = export_ilp(inst, forced_excellence=excellence)
+    return text.replace("\nBinary\n", f"\n{zeros}Binary\n")
+
+
+@needs_milp
 @pytest.mark.parametrize("profile, dims, seed", SOLVER_CASES)
 def test_export_scores_what_the_solvers_score(profile, dims, seed):
     """The free model solves to exact_solve's z; with every y fixed to a set,
@@ -166,14 +182,35 @@ def test_export_scores_what_the_solvers_score(profile, dims, seed):
     if fitting:
         sets.append(random.Random(seed).choice(fitting))
     for excellence in sets:
-        # forced_excellence pins y to 1 only; pin every other y to 0
-        zeros = "".join(
-            f" y_{qi}_{ri} = 0\n"
-            for qi, q in enumerate(inst.hospitals)
-            for ri, r in enumerate(inst.wards)
-            if (q, r) not in excellence
-        )
-        text = export_ilp(inst, forced_excellence=excellence)
-        text = text.replace("\nBinary\n", f"\n{zeros}Binary\n")
         z = evaluate_Z(excellence, inst).z_value
-        assert solve_lp_external(text) == pytest.approx(float(z), rel=1e-6), excellence
+        assert solve_lp_external(fixed_lp(inst, excellence)) == pytest.approx(
+            float(z), rel=1e-6
+        ), excellence
+
+
+@needs_milp
+@pytest.mark.parametrize("profile", ["unconstrained", "assumption4&5-satisfying"])
+@pytest.mark.parametrize("dims", [(6, 10), (8, 8)])
+def test_exact_matches_the_milp_optimum(profile, dims):
+    """At 60 and 64 pairs, beyond the unpruned enumeration oracle, the
+    external MILP optimum of the export is exact_solve's z."""
+    inst = instance(profile, dims, 1)
+    z = exact_solve(inst).z_value
+    assert solve_lp_external(export_ilp(inst)) == pytest.approx(float(z), rel=1e-6)
+
+
+@needs_milp
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("seed", range(3))
+def test_greedy_is_bounded_by_the_milp_optimum(profile, seed):
+    """Where exact_solve hits its cap (10x10), greedy's z is at least the
+    external MILP optimum, and the model with every y fixed to greedy's set
+    solves to greedy's z; at the generator's budget and at shares of all
+    upgrade costs."""
+    base = instance(profile, (10, 10), seed)
+    for inst in [base] + [with_budget_share(base, share) for share in SHARES]:
+        greedy = greedy_solve(inst)
+        z = float(greedy.z_value)
+        assert solve_lp_external(export_ilp(inst)) <= z * (1 + 1e-6)
+        fixed = solve_lp_external(fixed_lp(inst, greedy.excellence))
+        assert fixed == pytest.approx(z, rel=1e-6)

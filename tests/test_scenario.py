@@ -260,6 +260,13 @@ def test_instance_rejects_negative_cost():
         )
 
 
+def test_instance_names_the_first_bad_element():
+    # the sign of out_cost[0][0] is checked before out_cost[0][1] is parsed
+    with pytest.raises(InvalidInstanceError) as info:
+        make_instance((5, 5), (Fraction(1),), out=[["-1", "abc"]])
+    assert str(info.value) == "out_cost[0][0]: must be non-negative, got -1"
+
+
 def test_instance_rejects_ragged_matrix():
     with pytest.raises(InvalidInstanceError, match="out_cost"):
         make_instance(
