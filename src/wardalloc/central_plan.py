@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -107,33 +108,29 @@ def admissible(excellence: ExcellenceSet, inst: ScenarioInstance) -> bool:
     return excellence.cost(inst) <= inst.budget
 
 
-def _outside_costs(inst: ScenarioInstance) -> list[Fraction]:
-    """Per-cell cost with every patient treated outside, by cell position."""
-    return [out for _, _, _, out, _ in inst._cell_index]
+def _outside_costs(inst: ScenarioInstance) -> list[list[Fraction]]:
+    """Per ward, each cell's cost with every patient treated outside."""
+    return [[out for _, out, _ in rows] for rows in inst._cell_index]
 
 
-def _patient_cost(inst: ScenarioInstance, current: list[Fraction]) -> Fraction:
-    return sum(
-        (count * c for (_, _, count, _, _), c in zip(inst._cell_index, current)),
-        Fraction(0),
-    )
+def _patient_cost(inst: ScenarioInstance, current: list[list[Fraction]]) -> Fraction:
+    wards = zip(inst._cell_index, current)  # at least one cell, so the sum is a Fraction
+    return sum(count * c for rows, costs in wards for (count, _, _), c in zip(rows, costs))
 
 
-def _improvements(inst: ScenarioInstance, current: list[Fraction], qi: int, ri: int):
-    """The destination rule of evaluate_Z for one upgrade (qi, ri): the cells
-    of ward ri whose internal cost at hospital qi is strictly below their
-    current cost, as (cell position, internal cost) pairs, and the patient
-    cost saved by moving them there."""
-    nq = inst.num_hospitals
-    cells = inst._cell_index
+def _improvements(rows, costs: list[Fraction], qi: int):
+    """The destination rule of evaluate_Z for upgrading hospital qi in one
+    ward, given that ward's cell rows and their current costs: the cells
+    whose internal cost at qi is strictly below their current cost, as (row
+    position, internal cost) pairs, and the patient cost saved by moving
+    them there."""
     taken = []
     saving = Fraction(0)
-    for pos in range(ri * nq, (ri + 1) * nq):  # cells are ward-major
-        _, _, count, _, internal = cells[pos]
+    for pos, ((count, _, internal), c) in enumerate(zip(rows, costs)):
         c_in = internal[qi]
-        if c_in < current[pos]:
+        if c_in < c:
             taken.append((pos, c_in))
-            saving += count * (current[pos] - c_in)
+            saving += count * (c - c_in)
     return taken, saving
 
 
@@ -153,15 +150,16 @@ def evaluate_Z(excellence: ExcellenceSet, inst: ScenarioInstance) -> PlanSolutio
             f"excellence cost {excel_part} exceeds budget {inst.budget}"
         )
     current = _outside_costs(inst)
-    destinations = [OUTSIDE] * len(current)
+    destinations = [[OUTSIDE] * len(costs) for costs in current]
     for qi, ri in excellence._indices(inst):
-        for pos, c_in in _improvements(inst, current, qi, ri)[0]:
-            current[pos] = c_in
-            destinations[pos] = (inst.hospitals[qi], inst.wards[ri])
+        for pos, c_in in _improvements(inst._cell_index[ri], current[ri], qi)[0]:
+            current[ri][pos] = c_in
+            destinations[ri][pos] = (inst.hospitals[qi], inst.wards[ri])
     patient_part = _patient_cost(inst, current)
+    flat = [dest for ward in destinations for dest in ward]  # demand_cells() order
     return PlanSolution(
         excellence=excellence,
-        assignment=dict(zip(inst.demand_cells(), destinations)),
+        assignment=dict(zip(inst.demand_cells(), flat)),
         excel_cost_part=excel_part,
         patient_cost_part=patient_part,
     )
@@ -184,11 +182,11 @@ def _checked_solution(
     return replace(solution, trace=tuple(trace))
 
 
-def _greedy_steps(inst: ScenarioInstance, pairs, budget: Fraction | None = None):
+def _greedy_steps(inst: ScenarioInstance, pairs, budget: Fraction):
     """The greedy step, written once. From every cell outside, each step
-    yields the (qi, ri) pair that fits the budget (None: no budget) with the
-    lowest z change, price - saving, as (z change, qi, ri), ties to the lowest
-    (qi, ri), and then takes it, unless the caller stops.
+    yields the (qi, ri) pair that fits the budget with the lowest z change,
+    price - saving, as (z change, qi, ri), ties to the lowest (qi, ri), and
+    then takes it, unless the caller stops.
 
     Scoring is lazy (Minoux 1978, "Accelerated greedy algorithms for
     maximizing submodular set functions"). Taking a pair only lowers cell
@@ -198,11 +196,12 @@ def _greedy_steps(inst: ScenarioInstance, pairs, budget: Fraction | None = None)
     no greater than the next key, which bounds every other pair's, it is the
     best pair, else it goes back. Pairs that stop fitting are dropped, since
     spending only grows."""
+    cells = inst._cell_index
     current = _outside_costs(inst)
     heap = [
-        (inst.excel_cost[qi][ri] - _improvements(inst, current, qi, ri)[1], qi, ri)
+        (inst.excel_cost[qi][ri] - _improvements(cells[ri], current[ri], qi)[1], qi, ri)
         for qi, ri in pairs
-        if budget is None or inst.excel_cost[qi][ri] <= budget
+        if inst.excel_cost[qi][ri] <= budget
     ]
     heapq.heapify(heap)
     spent = Fraction(0)
@@ -211,9 +210,9 @@ def _greedy_steps(inst: ScenarioInstance, pairs, budget: Fraction | None = None)
         while heap:
             _, qi, ri = heapq.heappop(heap)
             price = inst.excel_cost[qi][ri]
-            if budget is not None and spent + price > budget:
+            if spent + price > budget:
                 continue
-            taken, saving = _improvements(inst, current, qi, ri)
+            taken, saving = _improvements(cells[ri], current[ri], qi)
             scored += 1
             key = (price - saving, qi, ri)
             if heap and key > heap[0]:  # (qi, ri) differ: dz ties go to the lower pair
@@ -224,7 +223,7 @@ def _greedy_steps(inst: ScenarioInstance, pairs, budget: Fraction | None = None)
             steps += 1
             spent += price
             for pos, c_in in taken:
-                current[pos] = c_in
+                current[ri][pos] = c_in
     finally:
         # imported here so that importing the package does not load logging
         # (about 3 ms); the CLI has loaded it already
@@ -268,29 +267,27 @@ def exact_solve(inst: ScenarioInstance) -> PlanSolution:
     their symmetric difference, which other wards' pairs never enter. Guarded
     by EXACT_ENUMERATION_CAP. Cells follow evaluate_Z's rule."""
     nq = inst.num_hospitals
-    current = _outside_costs(inst)
+    outside = _outside_costs(inst)
     # plans: (spent, z, size, members); subsets: (costs, spent, z delta, members)
-    plans = [(Fraction(0), _patient_cost(inst, current), 0, ())]
+    plans = [(Fraction(0), _patient_cost(inst, outside), 0, ())]
     formed = 0
-    for ri in range(inst.num_wards):
+    for ri, rows in enumerate(inst._cell_index):
         formed += len(plans) << nq
         if formed > EXACT_ENUMERATION_CAP:
             raise InstanceTooLargeError(
                 f"ward {inst.wards[ri]!r} would bring the run to {formed} candidate "
                 f"plans, over the exact solver's cap of {EXACT_ENUMERATION_CAP}"
             )
-        ward = slice(ri * nq, (ri + 1) * nq)  # cells are ward-major
-        subsets = [(current[ward], Fraction(0), Fraction(0), ())]
+        subsets = [(outside[ri], Fraction(0), Fraction(0), ())]
         for qi in range(nq):
             price = inst.excel_cost[qi][ri]
             for costs, s, dz, ms in list(subsets):
                 if s + price <= inst.budget:  # else no superset fits either
-                    current[ward] = costs
-                    taken, saving = _improvements(inst, current, qi, ri)
+                    taken, saving = _improvements(rows, costs, qi)
+                    moved = list(costs)
                     for pos, c_in in taken:
-                        current[pos] = c_in
-                    grown = (s + price, dz + price - saving, ms + ((qi, ri),))
-                    subsets.append((current[ward],) + grown)
+                        moved[pos] = c_in
+                    subsets.append((moved, s + price, dz + price - saving, ms + ((qi, ri),)))
         plans, candidates = [], sorted(
             (spent + s, z + dz, size + len(ms), tuple(sorted(members + ms)))
             for spent, z, size, members in plans
@@ -314,9 +311,10 @@ def ward_order(inst: ScenarioInstance) -> tuple[str, ...]:
 
 
 def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str, ...]:
-    """Hospitals by convenience: greedy's own order on one ward. Without a
-    budget, greedy's step appends the hospital whose upgrade in that ward
-    lowers z the most, ties by hospital index; cells follow evaluate_Z's rule.
+    """Hospitals by convenience: greedy's own order on one ward. With a
+    budget that buys every upgrade of the ward, greedy's step appends the
+    hospital whose upgrade in that ward lowers z the most, ties by hospital
+    index; cells follow evaluate_Z's rule.
 
     Requires ward-independent internal costs and a uniform upgrade cost; with
     the uniform upgrade cost the price cancels in every comparison, so only
@@ -339,11 +337,12 @@ def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str
     for ri in wards:
         # savings scale with the patient counts, so wards with the same outside
         # costs and proportional counts (demand shares) order alike
-        cells = inst._cell_index[ri * nq : (ri + 1) * nq]
-        unit = math.gcd(*(count for _, _, count, _, _ in cells)) or 1
-        profile = tuple((out, count // unit) for _, _, count, out, _ in cells)
+        rows = inst._cell_index[ri]
+        unit = math.gcd(*(count for count, _, _ in rows)) or 1
+        profile = tuple((out, count // unit) for count, out, _ in rows)
         if profile not in by_profile:
-            steps = _greedy_steps(inst, [(qi, ri) for qi in range(nq)])
+            every_upgrade = sum(row[ri] for row in inst.excel_cost)
+            steps = _greedy_steps(inst, [(qi, ri) for qi in range(nq)], every_upgrade)
             order = tuple(inst.hospitals[qi] for _, qi, _ in steps)
             by_profile[profile] = (inst.wards[ri], order)
     (first, order), *others = by_profile.values()
@@ -408,11 +407,12 @@ def _lp_num(x: Fraction, row: str, var: str | None = None) -> str:
     """Row `row`'s coefficient of var (None: its right-hand side) as an LP
     number: an integer exactly, any other value as the nearest float. A value
     no int string or float can hold, or a non-zero one whose nearest float is
-    0, raises a size-guard error naming both."""
+    0 or subnormal (so keeps few significant bits), raises a size-guard error
+    naming both."""
     try:
         if x.denominator == 1:
             return str(x.numerator)
-        if value := x.numerator / x.denominator:
+        if abs(value := x.numerator / x.denominator) >= sys.float_info.min:
             return repr(value)
         size = "small"
     # ValueError: the interpreter's limit on the digits of an int string
@@ -456,13 +456,14 @@ def export_ilp(
     # every variable once, the y terms first; Binary and the budget row read this list
     terms = list(zip([c for row in inst.excel_cost for c in row], ys))
     cells = []  # (cell, ward index, x names, xout name) per demand cell
-    for di, ri, count, out, internal in inst._cell_index:
-        cell = f"{di}_{ri}"
-        xs = [f"x_{cell}_{qi}" for qi in range(nq)]
-        xout = f"xout_{cell}"
-        terms.extend(zip([count * c for c in internal], xs))
-        terms.append((count * out, xout))
-        cells.append((cell, ri, xs, xout))
+    for ri, rows in enumerate(inst._cell_index):
+        for di, (count, out, internal) in enumerate(rows):
+            cell = f"{di}_{ri}"
+            xs = [f"x_{cell}_{qi}" for qi in range(nq)]
+            xout = f"xout_{cell}"
+            terms.extend(zip([count * c for c in internal], xs))
+            terms.append((count * out, xout))
+            cells.append((cell, ri, xs, xout))
 
     lines = ["Minimize", *_lp_expr("obj", terms, ys[0]), "Subject To"]
     for cell, _, xs, xout in cells:

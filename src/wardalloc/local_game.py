@@ -152,23 +152,17 @@ def enumerate_pure_nash(tensor: PayoffTensor) -> EquilibriumReport:
     A profile survives when no hospital has a strictly better unilateral
     deviation.
     """
-    nq = len(tensor.hospitals)
-    equilibria = []
-    for key, values in tensor.payoffs.items():
-        stable = True
-        for qi in range(nq):
-            current = values[qi]
-            for alt in tensor.strategies:
-                if alt == key[qi]:
-                    continue
-                deviated = key[:qi] + (alt,) + key[qi + 1 :]
-                if tensor.payoffs[deviated][qi] > current:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            equilibria.append(StrategyProfile(hospitals=tensor.hospitals, wards=key))
+    payoffs = tensor.payoffs
+    equilibria = (
+        StrategyProfile(hospitals=tensor.hospitals, wards=key)
+        for key, values in payoffs.items()
+        if not any(
+            payoffs[key[:qi] + (alt,) + key[qi + 1 :]][qi] > values[qi]
+            for qi in range(len(key))
+            for alt in tensor.strategies
+            if alt != key[qi]
+        )
+    )
     return EquilibriumReport(tuple(equilibria))
 
 

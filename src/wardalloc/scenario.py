@@ -31,6 +31,9 @@ _REJECTION_CAP = 1000
 # Most internal-cost entries (|Q|^2 * |R|) the generator may draw.
 _GENERATION_CAP = 10**6
 
+# The distinct group sizes the assumption-1 profile draws from.
+_A1_GROUP_SIZES = range(500, 1600)
+
 # Python's default limit on the digits of an int string. It bounds the
 # decimal exponent a rational string may carry, since Fraction expands the
 # exponent in full and "1e999999999" would stall the load, and the digits of
@@ -243,24 +246,25 @@ class ScenarioInstance:
     @functools.cached_property
     def _cells(self) -> tuple[DemandCell, ...]:
         return tuple(
-            DemandCell(district=self.hospitals[di], ward=ward, count=count)
-            for ward, size in zip(self.wards, self.group_sizes)
-            for di, count in enumerate(largest_remainder_split(size, self.population))
+            DemandCell(district=district, ward=ward, count=count)
+            for ward, rows in zip(self.wards, self._cell_index)
+            for district, (count, _, _) in zip(self.hospitals, rows)
         )
 
     @functools.cached_property
-    def _cell_index(self) -> tuple[tuple[int, int, int, Fraction, tuple[Fraction, ...]], ...]:
-        """(district index, ward index, count, outside cost, internal cost at
-        each hospital index) per demand cell, aligned with demand_cells(). The
-        one place that looks up a cell's costs: the solvers and checkers read
-        cells through this."""
-        nq = self.num_hospitals
-        rows = []
-        for pos, cell in enumerate(self._cells):
-            ri, di = divmod(pos, nq)
-            internal = tuple(row[ri] for row in self.internal_cost[di])
-            rows.append((di, ri, cell.count, self.out_cost[di][ri], internal))
-        return tuple(rows)
+    def _cell_index(self) -> tuple[tuple[tuple[int, Fraction, tuple], ...], ...]:
+        """Per ward type, one row per district: (count, outside cost, internal
+        cost at each hospital index); demand_cells() lists the same cells in
+        the same order. The one place that looks up a cell's costs: the
+        solvers and checkers read cells through this, one ward's rows at a
+        time, since an upgrade in ward r moves only ward-r patients."""
+        return tuple(
+            tuple(
+                (count, self.out_cost[di][ri], tuple(c[ri] for c in self.internal_cost[di]))
+                for di, count in enumerate(largest_remainder_split(size, self.population))
+            )
+            for ri, size in enumerate(self.group_sizes)
+        )
 
 
 def largest_remainder_split(total: int, shares: Sequence[Fraction]) -> list[int]:
@@ -383,8 +387,9 @@ def check_assumption2(inst: ScenarioInstance) -> AssumptionReport:
             Violation("budget-below-cheapest-upgrade", {}, inst.budget, min_cost)
         )
     benefit = Fraction(0)
-    for _, _, count, out, internal in inst._cell_index:
-        benefit += count * sum(out - c_in for c_in in internal)
+    for rows in inst._cell_index:
+        for count, out, internal in rows:
+            benefit += count * sum(out - c_in for c_in in internal)
     total_upgrade = sum(sum(row) for row in inst.excel_cost)
     if not benefit > total_upgrade:
         violations.append(
@@ -479,7 +484,7 @@ def _gen_default(rng: random.Random, nq: int, nr: int, require_a1: bool) -> tupl
 
     if require_a1:
         for _ in range(_REJECTION_CAP):
-            sizes = tuple(rng.sample(range(500, 1600), nr))
+            sizes = tuple(rng.sample(_A1_GROUP_SIZES, nr))
             if next(_a1_failures(sizes, population), None) is None:
                 break
         else:
@@ -558,7 +563,8 @@ def generate_scenario(
             "assumption1-satisfying" draws balanced populations and
             same-magnitude group sizes by rejection until check_assumption1
             holds (generation error after 1000 tries, or before any draw
-            with one hospital and several ward types, where it cannot hold);
+            with one hospital and several ward types, where it cannot hold,
+            or with more ward types than the 1,100 distinct sizes it draws);
             "assumption4&5-satisfying" builds distance-derived internal costs
             constant across wards and a uniform upgrade cost.
     """
@@ -585,6 +591,11 @@ def generate_scenario(
         raise GenerationError(
             f"profile {PROFILE_A1!r}: assumption 1 cannot hold with one hospital "
             f"and {nr} ward types"
+        )
+    if profile == PROFILE_A1 and nr > len(_A1_GROUP_SIZES):
+        raise GenerationError(
+            f"profile {PROFILE_A1!r}: {nr} ward types need distinct group sizes, "
+            f"but it draws from only {len(_A1_GROUP_SIZES)}"
         )
     rng = random.Random(seed)
     # a profile returns its draws in field order: population, sizes, costs, budget

@@ -725,10 +725,12 @@ def test_export_coefficient_too_large_to_write_raises(inst, message):
 
 
 def test_export_coefficient_too_small_to_write_raises():
-    # 10**-400 is not zero, but its nearest float is
-    with pytest.raises(InstanceTooLargeError) as info:
-        export_ilp(one_cell(1, f"1/1{'0' * 400}"))
-    assert str(info.value) == "LP row obj: the coefficient of xout_0_0 is too small to write"
+    # 10**-400 is not zero, but its nearest float is; 1/7 * 10**-322 is
+    # subnormal, and its nearest float, 1.5e-323, is 3.75% off
+    for out in (f"1/1{'0' * 400}", f"1/7{'0' * 322}"):
+        with pytest.raises(InstanceTooLargeError) as info:
+            export_ilp(one_cell(1, out))
+        assert str(info.value) == "LP row obj: the coefficient of xout_0_0 is too small to write"
 
 
 def budget_row(text):

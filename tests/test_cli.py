@@ -113,13 +113,19 @@ def test_gen_dims_too_long_to_print_exit_2(capsys):
 
 
 def test_gen_unsatisfiable_profile_exits_2(capsys):
-    code, captured = run_cli(
-        "gen", "--seed", "0", "--dims", "1x4", "--profile", "assumption1-satisfying",
-        capsys=capsys,
-    )
-    assert code == 2
-    assert captured.out == ""
-    assert "cannot hold with one hospital and 4 ward types" in captured.err
+    for dims, reason in (
+        ("1x4", "cannot hold with one hospital and 4 ward types"),
+        # the profile draws distinct group sizes from 1,100 values
+        ("2x1101", "1101 ward types need distinct group sizes"),
+    ):
+        code, captured = run_cli(
+            "gen", "--seed", "0", "--dims", dims, "--profile", "assumption1-satisfying",
+            capsys=capsys,
+        )
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert reason in captured.err
 
 
 def test_gen_rejects_malformed_dims(capsys):

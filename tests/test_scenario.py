@@ -1,6 +1,7 @@
 """Data model tests: integer splits, demand cells, assumption checkers,
 seeded generation, and the JSON scenario format."""
 
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -419,10 +420,14 @@ def test_all_assumptions_order(comparable_market):
 
 def test_violations_restate_instance_data():
     # every reported violation must be reproducible from the raw instance
-    for seed in range(20):
-        inst = generate_scenario(seed, (2, 3))
+    seen = set()
+    for seed, dims, profile in itertools.product(
+        range(20), [(2, 3), (3, 2), (4, 3)], PROFILES
+    ):
+        inst = generate_scenario(seed, dims, profile)
         for report in all_assumptions(inst):
             for v in report.violations:
+                seen.add(v.code)
                 if v.code == "group-not-above-smallest-district-slice":
                     k = inst.ward_index(v.where["ward"])
                     i = inst.ward_index(v.where["other_ward"])
@@ -435,6 +440,14 @@ def test_violations_restate_instance_data():
                     assert v.rhs == min(min(row) for row in inst.excel_cost)
                     assert v.lhs < v.rhs
                 elif v.code == "inside-benefit-not-above-upgrade-cost":
+                    benefit = 0
+                    for cell in inst.demand_cells():
+                        d = inst.hospital_index(cell.district)
+                        r = inst.ward_index(cell.ward)
+                        for q in range(inst.num_hospitals):
+                            out, c_in = inst.out_cost[d][r], inst.internal_cost[d][q][r]
+                            benefit += cell.count * (out - c_in)
+                    assert v.lhs == benefit
                     assert v.rhs == sum(sum(row) for row in inst.excel_cost)
                     assert v.lhs <= v.rhs
                 elif v.code == "internal-cost-depends-on-ward":
@@ -455,6 +468,8 @@ def test_violations_restate_instance_data():
                     assert v.lhs != v.rhs
                 else:
                     raise AssertionError(f"unknown violation code {v.code}")
+    # the sample reaches the benefit violation, so its lhs is checked
+    assert "inside-benefit-not-above-upgrade-cost" in seen
 
 
 # One market that fails every data assumption: a lopsided group, a budget
@@ -576,6 +591,9 @@ def test_generate_refuses_assumption1_with_one_hospital(monkeypatch):
             GenerationError, match=f"cannot hold with one hospital and {nr} ward types"
         ):
             generate_scenario(0, (1, nr), "assumption1-satisfying")
+    # group sizes are distinct draws from 1,100 values, too few for 1,101 wards
+    with pytest.raises(GenerationError, match="1101 ward types need distinct group sizes"):
+        generate_scenario(0, (2, 1101), "assumption1-satisfying")
     monkeypatch.undo()
     assert check_assumption1(generate_scenario(0, (1, 1), "assumption1-satisfying")).holds
     assert check_assumption1(generate_scenario(0, (2, 4), "assumption1-satisfying")).holds
