@@ -21,6 +21,7 @@ from .errors import (
     InvalidInstanceError,
 )
 from .scenario import (
+    CostModel,
     DemandCell,
     ScenarioInstance,
     check_assumption4,
@@ -108,24 +109,36 @@ def admissible(excellence: ExcellenceSet, inst: ScenarioInstance) -> bool:
     return excellence.cost(inst) <= inst.budget
 
 
-def _outside_costs(inst: ScenarioInstance) -> list[list[Fraction]]:
-    """Per ward, each cell's cost with every patient treated outside."""
-    return [[out for _, out, _ in rows] for rows in inst._cell_index]
+def _outside_costs(model: CostModel) -> list[list[int]]:
+    """Per ward, each cell's cost with every patient treated outside, at the
+    ward's scale."""
+    return [[out for _, out, _ in rows] for _, rows in model.wards]
 
 
-def _patient_cost(inst: ScenarioInstance, current: list[list[Fraction]]) -> Fraction:
-    wards = zip(inst._cell_index, current)  # at least one cell, so the sum is a Fraction
-    return sum(count * c for rows, costs in wards for (count, _, _), c in zip(rows, costs))
+def _patient_cost(model: CostModel, current: list[list[int]]) -> Fraction:
+    """The patient cost of every cell, given each ward's cell costs at its
+    scale."""
+    wards = zip(model.wards, current)  # at least one ward, so the sum is a Fraction
+    return sum(
+        Fraction(sum(count * c for (count, _, _), c in zip(rows, costs)), scale)
+        for (scale, rows), costs in wards
+    )
 
 
-def _improvements(rows, costs: list[Fraction], qi: int):
+def _z_change(spent: int, saved: int, price_scale: int, scale: int) -> Fraction:
+    """The exact change in z of upgrades in one ward that cost spent, at the
+    price scale, and save saved, at the ward's scale."""
+    return Fraction(spent * scale - saved * price_scale, price_scale * scale)
+
+
+def _improvements(rows, costs: list[int], qi: int):
     """The destination rule of evaluate_Z for upgrading hospital qi in one
     ward, given that ward's cell rows and their current costs: the cells
     whose internal cost at qi is strictly below their current cost, as (row
     position, internal cost) pairs, and the patient cost saved by moving
-    them there."""
+    them there, all at the ward's scale."""
     taken = []
-    saving = Fraction(0)
+    saving = 0
     for pos, ((count, _, internal), c) in enumerate(zip(rows, costs)):
         c_in = internal[qi]
         if c_in < c:
@@ -149,13 +162,14 @@ def evaluate_Z(excellence: ExcellenceSet, inst: ScenarioInstance) -> PlanSolutio
         raise BudgetExceededError(
             f"excellence cost {excel_part} exceeds budget {inst.budget}"
         )
-    current = _outside_costs(inst)
+    model = inst._costs
+    current = _outside_costs(model)
     destinations = [[OUTSIDE] * len(costs) for costs in current]
     for qi, ri in excellence._indices(inst):
-        for pos, c_in in _improvements(inst._cell_index[ri], current[ri], qi)[0]:
+        for pos, c_in in _improvements(model.wards[ri].rows, current[ri], qi)[0]:
             current[ri][pos] = c_in
             destinations[ri][pos] = (inst.hospitals[qi], inst.wards[ri])
-    patient_part = _patient_cost(inst, current)
+    patient_part = _patient_cost(model, current)
     flat = [dest for ward in destinations for dest in ward]  # demand_cells() order
     return PlanSolution(
         excellence=excellence,
@@ -182,11 +196,11 @@ def _checked_solution(
     return replace(solution, trace=tuple(trace))
 
 
-def _greedy_steps(inst: ScenarioInstance, pairs, budget: Fraction):
+def _greedy_steps(inst: ScenarioInstance, pairs, budget: int):
     """The greedy step, written once. From every cell outside, each step
-    yields the (qi, ri) pair that fits the budget with the lowest z change,
-    price - saving, as (z change, qi, ri), ties to the lowest (qi, ri), and
-    then takes it, unless the caller stops.
+    yields the (qi, ri) pair that fits the budget (an int at the price
+    scale) with the lowest z change, price - saving, as (z change, qi, ri),
+    ties to the lowest (qi, ri), and then takes it, unless the caller stops.
 
     Scoring is lazy (Minoux 1978, "Accelerated greedy algorithms for
     maximizing submodular set functions"). Taking a pair only lowers cell
@@ -195,26 +209,32 @@ def _greedy_steps(inst: ScenarioInstance, pairs, budget: Fraction):
     last keys. Each step rescores only the top pair; if its fresh key is still
     no greater than the next key, which bounds every other pair's, it is the
     best pair, else it goes back. Pairs that stop fitting are dropped, since
-    spending only grows."""
-    cells = inst._cell_index
-    current = _outside_costs(inst)
+    spending only grows. Prices and savings are ints at the price and ward
+    scales; a key is their exact difference as a rational."""
+    model = inst._costs
+    wards, prices, price_scale = model.wards, model.prices, model.price_scale
+    current = _outside_costs(model)
+
+    def keyed(qi, ri, saving):
+        return (_z_change(prices[qi][ri], saving, price_scale, wards[ri].scale), qi, ri)
+
     heap = [
-        (inst.excel_cost[qi][ri] - _improvements(cells[ri], current[ri], qi)[1], qi, ri)
+        keyed(qi, ri, _improvements(wards[ri].rows, current[ri], qi)[1])
         for qi, ri in pairs
-        if inst.excel_cost[qi][ri] <= budget
+        if prices[qi][ri] <= budget
     ]
     heapq.heapify(heap)
-    spent = Fraction(0)
+    spent = 0
     steps, scored, pushed_back = 0, len(heap), 0
     try:
         while heap:
             _, qi, ri = heapq.heappop(heap)
-            price = inst.excel_cost[qi][ri]
+            price = prices[qi][ri]
             if spent + price > budget:
                 continue
-            taken, saving = _improvements(cells[ri], current[ri], qi)
+            taken, saving = _improvements(wards[ri].rows, current[ri], qi)
             scored += 1
-            key = (price - saving, qi, ri)
+            key = keyed(qi, ri, saving)
             if heap and key > heap[0]:  # (qi, ri) differ: dz ties go to the lower pair
                 heapq.heappush(heap, key)
                 pushed_back += 1
@@ -244,9 +264,10 @@ def greedy_solve(inst: ScenarioInstance) -> PlanSolution:
     are never removed once inserted. Cells follow evaluate_Z's rule.
     """
     pairs = [(qi, ri) for qi in range(inst.num_hospitals) for ri in range(inst.num_wards)]
-    z = _patient_cost(inst, _outside_costs(inst))
+    model = inst._costs
+    z = _patient_cost(model, _outside_costs(model))
     added, trace = [], []
-    for dz, qi, ri in _greedy_steps(inst, pairs, inst.budget):
+    for dz, qi, ri in _greedy_steps(inst, pairs, model.budget):
         if not dz < 0:
             break
         added.append((qi, ri))
@@ -265,34 +286,42 @@ def exact_solve(inst: ScenarioInstance) -> PlanSolution:
     its (z, size, members) key beats every plan that spends no more. Ties
     survive: equal-size sorted member lists compare by the smallest pair in
     their symmetric difference, which other wards' pairs never enter. Guarded
-    by EXACT_ENUMERATION_CAP. Cells follow evaluate_Z's rule."""
+    by EXACT_ENUMERATION_CAP. Cells follow evaluate_Z's rule. Spending and
+    each ward's savings are ints at the price and ward scales; z, which
+    spans wards, is a rational."""
     nq = inst.num_hospitals
-    outside = _outside_costs(inst)
-    # plans: (spent, z, size, members); subsets: (costs, spent, z delta, members)
-    plans = [(Fraction(0), _patient_cost(inst, outside), 0, ())]
+    model = inst._costs
+    budget, price_scale = model.budget, model.price_scale
+    outside = _outside_costs(model)
+    # plans: (spent, z, size, members); subsets: (costs, spent, saving, members)
+    plans = [(0, _patient_cost(model, outside), 0, ())]
     formed = 0
-    for ri, rows in enumerate(inst._cell_index):
+    for ri, (scale, rows) in enumerate(model.wards):
         formed += len(plans) << nq
         if formed > EXACT_ENUMERATION_CAP:
             raise InstanceTooLargeError(
                 f"ward {inst.wards[ri]!r} would bring the run to {formed} candidate "
                 f"plans, over the exact solver's cap of {EXACT_ENUMERATION_CAP}"
             )
-        subsets = [(outside[ri], Fraction(0), Fraction(0), ())]
+        subsets = [(outside[ri], 0, 0, ())]
         for qi in range(nq):
-            price = inst.excel_cost[qi][ri]
-            for costs, s, dz, ms in list(subsets):
-                if s + price <= inst.budget:  # else no superset fits either
+            price = model.prices[qi][ri]
+            for costs, s, saved, ms in list(subsets):
+                if s + price <= budget:  # else no superset fits either
                     taken, saving = _improvements(rows, costs, qi)
                     moved = list(costs)
                     for pos, c_in in taken:
                         moved[pos] = c_in
-                    subsets.append((moved, s + price, dz + price - saving, ms + ((qi, ri),)))
+                    subsets.append((moved, s + price, saved + saving, ms + ((qi, ri),)))
+        # each subset's z change; its cost list is no longer needed
+        subsets = [
+            (s, _z_change(s, saved, price_scale, scale), ms) for _, s, saved, ms in subsets
+        ]
         plans, candidates = [], sorted(
             (spent + s, z + dz, size + len(ms), tuple(sorted(members + ms)))
             for spent, z, size, members in plans
-            for _, s, dz, ms in subsets
-            if spent + s <= inst.budget
+            for s, dz, ms in subsets
+            if spent + s <= budget
         )
         for plan in candidates:
             if not plans or plan[1:] < plans[-1][1:]:
@@ -332,16 +361,17 @@ def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str
                 f"hospital convenience order requires {requirement}: {report.violations[0]}"
             )
     nq = inst.num_hospitals
+    model = inst._costs
     wards = range(inst.num_wards) if ward is None else [inst.ward_index(ward)]
     by_profile = {}  # first ward of each profile and its order
     for ri in wards:
         # savings scale with the patient counts, so wards with the same outside
         # costs and proportional counts (demand shares) order alike
-        rows = inst._cell_index[ri]
+        scale, rows = model.wards[ri]
         unit = math.gcd(*(count for count, _, _ in rows)) or 1
-        profile = tuple((out, count // unit) for count, out, _ in rows)
+        profile = (scale, tuple((out, count // unit) for count, out, _ in rows))
         if profile not in by_profile:
-            every_upgrade = sum(row[ri] for row in inst.excel_cost)
+            every_upgrade = sum(row[ri] for row in model.prices)
             steps = _greedy_steps(inst, [(qi, ri) for qi in range(nq)], every_upgrade)
             order = tuple(inst.hospitals[qi] for _, qi, _ in steps)
             by_profile[profile] = (inst.wards[ri], order)
@@ -403,16 +433,17 @@ def check_staircase(solution: PlanSolution, orders: TotalOrders) -> StaircaseVer
 # CPLEX-LP model export
 
 
-def _lp_num(x: Fraction, row: str, var: str | None = None) -> str:
-    """Row `row`'s coefficient of var (None: its right-hand side) as an LP
-    number: an integer exactly, any other value as the nearest float. A value
-    no int string or float can hold, or a non-zero one whose nearest float is
-    0 or subnormal (so keeps few significant bits), raises a size-guard error
+def _lp_num(n: int, scale: int, row: str, var: str | None = None) -> str:
+    """Row `row`'s coefficient of var (None: its right-hand side), the
+    rational n / scale, as an LP number: an integer exactly, any other value
+    as the nearest float (int true division rounds correctly). A value no int
+    string or float can hold, or a non-zero one whose nearest float is 0 or
+    subnormal (so keeps few significant bits), raises a size-guard error
     naming both."""
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        if abs(value := x.numerator / x.denominator) >= sys.float_info.min:
+        if n % scale == 0:
+            return str(n // scale)
+        if abs(value := n / scale) >= sys.float_info.min:
             return repr(value)
         size = "small"
     # ValueError: the interpreter's limit on the digits of an int string
@@ -422,10 +453,10 @@ def _lp_num(x: Fraction, row: str, var: str | None = None) -> str:
     raise InstanceTooLargeError(f"LP row {row}: {what} is too {size} to write")
 
 
-def _lp_expr(row: str, terms: list[tuple[Fraction, str]], fallback_var: str) -> list[str]:
-    """Render row `row`'s coefficient/variable terms, several per line,
-    skipping zeros."""
-    rendered = [f"{_lp_num(coef, row, var)} {var}" for coef, var in terms if coef != 0]
+def _lp_expr(row: str, terms: list[tuple[int, int, str]], fallback_var: str) -> list[str]:
+    """Render row `row`'s (coefficient, its scale, variable) terms, several
+    per line, skipping zeros."""
+    rendered = [f"{_lp_num(n, scale, row, var)} {var}" for n, scale, var in terms if n]
     if not rendered:
         rendered = [f"0 {fallback_var}"]
     lines = []
@@ -452,17 +483,19 @@ def export_ilp(
     (fix-and-solve cross checks).
     """
     nq, nr = inst.num_hospitals, inst.num_wards
+    model = inst._costs
     ys = [f"y_{qi}_{ri}" for qi in range(nq) for ri in range(nr)]
-    # every variable once, the y terms first; Binary and the budget row read this list
-    terms = list(zip([c for row in inst.excel_cost for c in row], ys))
+    prices = [p for row in model.prices for p in row]
+    # every variable once, the y terms first; Binary reads this list
+    terms = [(p, model.price_scale, y) for p, y in zip(prices, ys)]
     cells = []  # (cell, ward index, x names, xout name) per demand cell
-    for ri, rows in enumerate(inst._cell_index):
+    for ri, (scale, rows) in enumerate(model.wards):
         for di, (count, out, internal) in enumerate(rows):
             cell = f"{di}_{ri}"
             xs = [f"x_{cell}_{qi}" for qi in range(nq)]
             xout = f"xout_{cell}"
-            terms.extend(zip([count * c for c in internal], xs))
-            terms.append((count * out, xout))
+            terms.extend((count * c, scale, x) for c, x in zip(internal, xs))
+            terms.append((count * out, scale, xout))
             cells.append((cell, ri, xs, xout))
 
     lines = ["Minimize", *_lp_expr("obj", terms, ys[0]), "Subject To"]
@@ -472,9 +505,9 @@ def export_ilp(
         lines.extend(
             f" link_{cell}_{qi}: {x} - {ys[qi * nr + ri]} <= 0" for qi, x in enumerate(xs)
         )
-    scale = math.lcm(inst.budget.denominator, *(c.denominator for c, _ in terms[: nq * nr]))
-    lines.extend(_lp_expr("budget", [(scale * c, y) for c, y in terms[: nq * nr]], ys[0]))
-    lines[-1] += f" <= {_lp_num(scale * inst.budget, 'budget')}"
+    # prices and budget at the price scale are the budget row's exact ints
+    lines.extend(_lp_expr("budget", [(p, 1, y) for p, y in zip(prices, ys)], ys[0]))
+    lines[-1] += f" <= {_lp_num(model.budget, 1, 'budget')}"
 
     lines.append("Bounds")
     if forced_excellence is not None:
@@ -482,9 +515,9 @@ def export_ilp(
             lines.append(f" {ys[qi * nr + ri]} = 1")
 
     lines.append("Binary")
-    lines.extend(f" {var}" for _, var in terms)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    lines.extend(f" {var}" for _, _, var in terms)
+    lines += ["End", ""]  # joined with a final newline, without copying the text
+    return "\n".join(lines)
 
 
 def plan_to_dict(

@@ -1,8 +1,9 @@
 """Scenario data model: instances, demand derivation, assumption checks,
 seeded generation, and the JSON scenario file format.
 
-All quantities are exact rationals (fractions.Fraction); nothing in this
-package ever compares floats.
+Inputs and reports are exact rationals (fractions.Fraction). Inside, each
+instance's costs are scaled to exact ints, ward by ward (ScenarioInstance.
+_costs); nothing in this package ever compares floats.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import json
 import math
 import random
 import sys
+import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import GenerationError, InstanceTooLargeError, InvalidInstanceError
 
@@ -46,24 +48,39 @@ def parse_rational(value, name: str = "value") -> Fraction:
     """Parse a JSON-borne rational: an int, a "num/den" string, or a decimal
     string whose exponent is at most _MAX_DIGITS in magnitude. The numerator
     and denominator may have at most _MAX_DIGITS digits each."""
-    if isinstance(value, bool):
-        raise InvalidInstanceError(f"{name}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        x = Fraction(value)
-    elif isinstance(value, Fraction):
-        x = value
-    elif isinstance(value, str):
-        _, _, exponent = value.lower().partition("e")
-        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-        # leading zeros are gone, so the first five digits decide the bound
-        if digits.isdecimal() and int(digits[:5]) > _MAX_DIGITS:
-            raise InvalidInstanceError(
-                f"{name}: decimal exponent of {value!r} exceeds {_MAX_DIGITS}"
-            )
+    # strings first: most values are strings, and Fraction's isinstance is slow
+    if isinstance(value, str):
+        num, _, den = value.partition("/")
+        # a plain "n/d" of ASCII digits, d non-zero, parses as two ints, which
+        # is what Fraction(str) makes of it too; any other string takes that path
+        plain = (
+            value.isascii()
+            and num.isdigit()
+            and den.isdigit()
+            and len(num) <= _MAX_DIGITS
+            and len(den) <= _MAX_DIGITS
+            and den.strip("0")
+        )
+        if not plain:
+            _, _, exponent = value.lower().partition("e")
+            digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+            # leading zeros are gone, so the first five digits decide the bound
+            if digits.isdecimal() and int(digits[:5]) > _MAX_DIGITS:
+                raise InvalidInstanceError(
+                    f"{name}: decimal exponent of {value!r} exceeds {_MAX_DIGITS}"
+                )
         try:
+            if plain:  # its digit counts already bound both parts
+                return Fraction(int(num), int(den))
             x = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInstanceError(f"{name}: cannot parse rational {value!r}") from exc
+    elif isinstance(value, bool):
+        raise InvalidInstanceError(f"{name}: expected a rational, got a boolean")
+    elif isinstance(value, int):
+        x = Fraction(value)
+    elif isinstance(value, Fraction):
+        x = value
     else:
         raise InvalidInstanceError(
             f"{name}: expected int or 'num/den' string, got {type(value).__name__}"
@@ -111,7 +128,7 @@ def _rationals(values, name: str, shape: tuple[int, ...]):
     row = []
     for i, v in enumerate(values):
         x = parse_rational(v, f"{name}[{i}]")
-        if x < 0:
+        if x.numerator < 0:
             raise InvalidInstanceError(f"{name}[{i}]: must be non-negative, got {x}")
         row.append(x)
     return tuple(row)
@@ -247,24 +264,83 @@ class ScenarioInstance:
     def _cells(self) -> tuple[DemandCell, ...]:
         return tuple(
             DemandCell(district=district, ward=ward, count=count)
-            for ward, rows in zip(self.wards, self._cell_index)
+            for ward, (_, rows) in zip(self.wards, self._costs.wards)
             for district, (count, _, _) in zip(self.hospitals, rows)
         )
 
     @functools.cached_property
-    def _cell_index(self) -> tuple[tuple[tuple[int, Fraction, tuple], ...], ...]:
-        """Per ward type, one row per district: (count, outside cost, internal
-        cost at each hospital index); demand_cells() lists the same cells in
-        the same order. The one place that looks up a cell's costs: the
-        solvers and checkers read cells through this, one ward's rows at a
-        time, since an upgrade in ward r moves only ward-r patients."""
-        return tuple(
-            tuple(
-                (count, self.out_cost[di][ri], tuple(c[ri] for c in self.internal_cost[di]))
-                for di, count in enumerate(largest_remainder_split(size, self.population))
+    def _costs(self) -> CostModel:
+        """The costs as exact ints, built once: per ward type, one row per
+        district, (count, outside cost, internal cost at each hospital index),
+        each cost times the ward's scale, the LCM of the ward's cost
+        denominators; demand_cells() lists the same cells in the same order.
+        Prices and the budget are times the LCM of their own denominators.
+        The one place that looks up a cell's costs: the solvers and checkers
+        read cells through this, one ward's rows at a time, since an upgrade
+        in ward r moves only ward-r patients. A scale per ward keeps each int
+        free of the other wards' denominators."""
+        start = time.perf_counter()
+        wards = []
+        for ri, size in enumerate(self.group_sizes):
+            outs = [row[ri].as_integer_ratio() for row in self.out_cost]
+            internals = [
+                [c[ri].as_integer_ratio() for c in plane] for plane in self.internal_cost
+            ]
+            scale = math.lcm(*(d for _, d in outs), *(d for row in internals for _, d in row))
+            counts = largest_remainder_split(size, self.population)
+            rows = tuple(
+                (count, out, _scaled(internal, scale))
+                for count, out, internal in zip(counts, _scaled(outs, scale), internals)
             )
-            for ri, size in enumerate(self.group_sizes)
+            wards.append(WardCosts(scale, rows))
+        prices = [[c.as_integer_ratio() for c in row] for row in self.excel_cost]
+        budget = self.budget.as_integer_ratio()
+        price_scale = math.lcm(budget[1], *(d for row in prices for _, d in row))
+        (scaled_budget,) = _scaled([budget], price_scale)
+        model = CostModel(
+            tuple(wards),
+            price_scale,
+            tuple(_scaled(row, price_scale) for row in prices),
+            scaled_budget,
         )
+        # imported here so that importing the package does not load logging
+        # (about 3 ms); the CLI has loaded it already
+        import logging
+
+        logging.getLogger(__name__).debug(
+            "cost model: price scale %d bits, largest ward scale %d bits, built in %.6f s",
+            price_scale.bit_length(),
+            max(ward.scale.bit_length() for ward in wards),
+            time.perf_counter() - start,
+        )
+        return model
+
+
+class WardCosts(NamedTuple):
+    """One ward type's demand cells, one row per district: (count, outside
+    cost, internal cost at each hospital index), every cost times scale."""
+
+    scale: int
+    rows: tuple[tuple[int, int, tuple[int, ...]], ...]
+
+
+class CostModel(NamedTuple):
+    """An instance's costs as exact ints (ScenarioInstance._costs): each ward
+    type's cells at that ward's scale, and the upgrade prices, indexed
+    [hospital][ward], and the budget at price_scale. An int n at scale L
+    stands for the rational n / L."""
+
+    wards: tuple[WardCosts, ...]
+    price_scale: int
+    prices: tuple[tuple[int, ...], ...]
+    budget: int
+
+
+def _scaled(ratios, scale: int) -> tuple[int, ...]:
+    """Each (numerator, denominator) pair's value times scale, for a scale
+    that every denominator divides. A value already at the scale keeps its
+    numerator object, so the model holds no second copy of it."""
+    return tuple([n if d == scale else n * (scale // d) for n, d in ratios])
 
 
 def largest_remainder_split(total: int, shares: Sequence[Fraction]) -> list[int]:
@@ -386,10 +462,11 @@ def check_assumption2(inst: ScenarioInstance) -> AssumptionReport:
         violations.append(
             Violation("budget-below-cheapest-upgrade", {}, inst.budget, min_cost)
         )
-    benefit = Fraction(0)
-    for rows in inst._cell_index:
-        for count, out, internal in rows:
-            benefit += count * sum(out - c_in for c_in in internal)
+    nq = inst.num_hospitals
+    benefit = sum(  # at least one ward, so the sum is a Fraction
+        Fraction(sum(count * (nq * out - sum(internal)) for count, out, internal in rows), scale)
+        for scale, rows in inst._costs.wards
+    )
     total_upgrade = sum(sum(row) for row in inst.excel_cost)
     if not benefit > total_upgrade:
         violations.append(

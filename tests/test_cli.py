@@ -554,6 +554,21 @@ def test_very_verbose_logs_greedy_work_and_keeps_the_report(planned_file, capsys
     ]
 
 
+def test_very_verbose_logs_each_cost_model_build(planned_file, capsys, caplog):
+    # the instance's costs are in hundredths and its prices in 1/1250ths;
+    # the model is built once, however many kernels read it
+    argv = ["central-greedy", "--input", str(planned_file), "--format", "json"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr().out
+    assert main(argv + ["-vv"]) == 0
+    assert capsys.readouterr().out == quiet
+    [message] = [r.getMessage() for r in caplog.records if r.name == "wardalloc.scenario"]
+    assert re.fullmatch(
+        r"cost model: price scale 11 bits, largest ward scale 7 bits, built in \d+\.\d{6} s",
+        message,
+    )
+
+
 def test_verbose_applies_to_each_call(scenario_file, tmp_path, caplog):
     caplog.set_level(logging.DEBUG, logger="wardalloc")
     out = str(tmp_path / "c.json")

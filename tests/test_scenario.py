@@ -96,6 +96,54 @@ def test_parse_rational_keeps_the_longest_printable_values():
         assert parse_rational(format_rational(value)) == value
 
 
+def parsed_by_fraction(text):
+    """What parse_rational makes of a string that has no exponent, by way of
+    Fraction(str): the value, or the error message for field "f"."""
+    try:
+        x = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return f"f: cannot parse rational {text!r}"
+    if max(abs(x.numerator), x.denominator) >= 10**4300:
+        return "f: more than 4300 digits in the numerator or denominator, too long to print"
+    return x
+
+
+def parsed(text):
+    try:
+        return parse_rational(text, "f")
+    except InvalidInstanceError as exc:
+        return str(exc)
+
+
+LONGEST = "9" * 4300  # the most digits a value may have
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3/ 4", " 3/4", "3/4 ", "+3/4", "-3/4", "3/-4", "3/+4", "3_0/4", "3/4_0", "٣/4", "3/٤",
+     "²/4", "0/00", "3/0", "0/1", "03/04", "3/4/5", "3//4", "3/", "/4", "/", "3.5/4", "3",
+     LONGEST + "/7", "7/" + LONGEST, LONGEST + "/" + LONGEST, "9" + LONGEST + "/7",
+     "7/9" + LONGEST, "0" + LONGEST + "/7", "1" + "0" * 4300 + "/10"],
+    ids=lambda text: text if len(text) < 12 else f"{len(text)} chars",
+)
+def test_plain_fractions_parse_as_fraction_str_does(text):
+    # "n/d" strings of ASCII digits are parsed as two ints; every string
+    # gives Fraction(str)'s value, or the same message
+    assert parsed(text) == parsed_by_fraction(text)
+
+
+def test_plain_fraction_digit_bounds():
+    assert parse_rational(LONGEST + "/7") == Fraction(int(LONGEST), 7)
+    with pytest.raises(InvalidInstanceError, match=r"^f: cannot parse rational '9{4301}/7'$"):
+        parse_rational("9" + LONGEST + "/7", "f")
+
+
+@given(st.text(alphabet="0123456789/ +-_.٣²", max_size=10))
+@settings(max_examples=400, deadline=None)
+def test_any_fraction_string_parses_as_fraction_str_does(text):
+    assert parsed(text) == parsed_by_fraction(text)
+
+
 def test_format_rational_round_trips():
     for x in (Fraction(3, 4), Fraction(5), Fraction(-7, 2), Fraction(0)):
         assert parse_rational(format_rational(x)) == x
