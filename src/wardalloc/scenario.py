@@ -346,20 +346,25 @@ def _scaled(ratios, scale: int) -> tuple[int, ...]:
 def largest_remainder_split(total: int, shares: Sequence[Fraction]) -> list[int]:
     """Split `total` into integer parts proportional to `shares` (summing to 1).
 
-    Floors every quota, then hands the leftover units to the largest
-    fractional remainders; remainder ties go to the lowest index. A `total`
-    that is not a non-negative integer, or shares that are negative or do not
-    sum to exactly 1, raise an invalid-instance error.
+    Floors each quota and gives the leftover units to the largest remainders,
+    ties to the lowest index: with share i = w_i / L, divmod(total * w_i, L)
+    is quota i's floor and L times its remainder. A `total` not an int >= 0,
+    or shares not numbers, negative or not summing to 1, raise InvalidInstanceError.
     """
     if isinstance(total, bool) or not isinstance(total, int) or total < 0:
         raise InvalidInstanceError(f"total: must be a non-negative integer, got {total!r}")
-    if any(s < 0 for s in shares) or sum(shares) != 1:
+    try:  # None, a string, NaN and the infinities have no integer ratio
+        ratios = [s.as_integer_ratio() for s in shares]
+    except (AttributeError, ValueError, OverflowError):
+        ratios = []  # no shares sum to 0, so they are refused below
+    scale = math.lcm(*(d for _, d in ratios))
+    weights = _scaled(ratios, scale)
+    if any(w < 0 for w in weights) or sum(weights) != scale:
         raise InvalidInstanceError("shares: must be non-negative and sum to exactly 1")
-    quotas = [total * s for s in shares]
-    parts = [int(q) for q in quotas]  # quotas are >= 0, so int() floors
+    quotas = [divmod(total * w, scale) for w in weights]
+    parts = [floor for floor, _ in quotas]
     leftover = total - sum(parts)
-    by_remainder = sorted(range(len(shares)), key=lambda i: (parts[i] - quotas[i], i))
-    for i in by_remainder[:leftover]:
+    for i in sorted(range(len(quotas)), key=lambda i: (-quotas[i][1], i))[:leftover]:
         parts[i] += 1
     return parts
 
@@ -424,17 +429,15 @@ class AssumptionReport:
 
 def _a1_failures(group_sizes, population):
     """Assumption 1's failing groups, as (k, value, i, j): group k has no more
-    than value = |P_i| * a_j patients, the smallest slice over every other
-    group i and district j (ties to the lowest i, then j)."""
+    than value = |P_i| * a_j patients, the smallest slice of another group
+    (ties to the lowest i, then j). Both factors are non-negative, so i is the
+    smallest other group and a_j the smallest share; if P_i is empty, all j tie."""
+    share = min(population)
+    smallest = sorted(range(len(group_sizes)), key=lambda i: (group_sizes[i], i))[:2]
     for k, size in enumerate(group_sizes):
-        slices = [
-            (Fraction(other) * a, i, j)
-            for i, other in enumerate(group_sizes)
-            if i != k
-            for j, a in enumerate(population)
-        ]
-        if slices and not Fraction(size) > (smallest := min(slices))[0]:
-            yield (k, *smallest)
+        i = next((i for i in smallest if i != k), None)
+        if i is not None and not size > (value := group_sizes[i] * share):
+            yield k, value, i, population.index(share) if value else 0
 
 
 def check_assumption1(inst: ScenarioInstance) -> AssumptionReport:
@@ -482,12 +485,14 @@ def check_assumption3(inst: ScenarioInstance) -> AssumptionReport:
 
 
 def check_assumption4(inst: ScenarioInstance) -> AssumptionReport:
-    """Internal patient costs do not depend on the ward type; the report
-    carries the first counterexample found."""
+    """Internal patient costs do not depend on the ward type. The report holds
+    the first cost, by district, hospital and ward, unequal to ward 0's, found
+    by normalized integer ratios (Fraction == runs the numbers.Rational check)."""
     for d, plane in enumerate(inst.internal_cost):
         for q, (base, *others) in enumerate(plane):
+            ratio = base.as_integer_ratio()
             for r, value in enumerate(others, 1):
-                if value != base:
+                if value.as_integer_ratio() != ratio:
                     where = {
                         "district": inst.hospitals[d],
                         "hospital": inst.hospitals[q],

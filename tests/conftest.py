@@ -1,11 +1,11 @@
 """Shared fixtures and independent oracles used across the test modules.
 
 The oracles here deliberately avoid the package's own algorithms: splits are
-checked against full enumeration, plan values against a per-cell brute force,
-greedy plans and convenience orders against step-by-step searches valued by
-that brute force, and the
-LP export against a tiny standalone CPLEX-LP parser plus an external
-MILP solver when one is installed.
+checked against full enumeration and against Fraction quotas, assumptions 1
+and 4 against their Fraction forms, plan values against a per-cell brute
+force, greedy plans and convenience orders against step-by-step searches
+valued by that brute force, and the LP export against a tiny standalone
+CPLEX-LP parser plus an external MILP solver when one is installed.
 """
 
 import dataclasses
@@ -14,7 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from wardalloc import PayoffTensor, ScenarioInstance
+from wardalloc import (
+    AssumptionReport,
+    InvalidInstanceError,
+    PayoffTensor,
+    ScenarioInstance,
+    Violation,
+)
 
 
 def make_instance(
@@ -117,6 +123,56 @@ def minimax_split(total, shares):
         if best_key is None or key < best_key:
             best_key, best = key, combo
     return list(best)
+
+
+def reference_a1_failures(group_sizes, population):
+    """Assumption 1's failing groups as (k, value, i, j), from the list of
+    every slice |P_i| * a_j of every other group i and district j: group k
+    has no more than the smallest (ties to the lowest i, then j)."""
+    for k, size in enumerate(group_sizes):
+        slices = [
+            (Fraction(other) * a, i, j)
+            for i, other in enumerate(group_sizes)
+            if i != k
+            for j, a in enumerate(population)
+        ]
+        if slices and not Fraction(size) > (smallest := min(slices))[0]:
+            yield (k, *smallest)
+
+
+def reference_split(total, shares):
+    """Largest-remainder split from Fraction quotas: floor every quota, then
+    one more unit to each of the largest remainders, ties to the lowest
+    index."""
+    if isinstance(total, bool) or not isinstance(total, int) or total < 0:
+        raise InvalidInstanceError(f"total: must be a non-negative integer, got {total!r}")
+    if any(s < 0 for s in shares) or sum(shares) != 1:
+        raise InvalidInstanceError("shares: must be non-negative and sum to exactly 1")
+    quotas = [total * s for s in shares]
+    parts = [int(q) for q in quotas]
+    leftover = total - sum(parts)
+    by_remainder = sorted(range(len(shares)), key=lambda i: (parts[i] - quotas[i], i))
+    for i in by_remainder[:leftover]:
+        parts[i] += 1
+    return parts
+
+
+def reference_assumption4(inst):
+    """Assumption 4's report from Fraction comparisons: the first internal
+    cost, in (district, hospital, ward) order, that differs from ward 0's."""
+    for d, plane in enumerate(inst.internal_cost):
+        for q, (base, *others) in enumerate(plane):
+            for r, value in enumerate(others, 1):
+                if value != base:
+                    where = {
+                        "district": inst.hospitals[d],
+                        "hospital": inst.hospitals[q],
+                        "ward": inst.wards[0],
+                        "other_ward": inst.wards[r],
+                    }
+                    witness = Violation("internal-cost-depends-on-ward", where, base, value)
+                    return AssumptionReport(4, (witness,))
+    return AssumptionReport(4, ())
 
 
 def brute_z(inst, members):

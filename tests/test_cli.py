@@ -1,6 +1,7 @@
 """Command-line tests: every subcommand, both output formats, exit codes,
 environment-variable output routing, and report stability."""
 
+import hashlib
 import json
 import logging
 import os
@@ -160,6 +161,38 @@ def test_check_json_structure(scenario_file, capsys):
     assert [a["assumption"] for a in doc["assumptions"]] == [1, 2, 3, 4, 5]
     for entry in doc["assumptions"]:
         assert entry["holds"] == (entry["violations"] == [])
+
+
+def test_check_holds_on_the_widest_assumption1_instance(tmp_path, capsys):
+    # 1,100 ward types, as many distinct sizes as the profile draws from
+    path = str(tmp_path / "wide.json")
+    argv = ["--dims", "3x1100", "--profile", "assumption1-satisfying", "-o", path]
+    assert main(["gen", "--seed", "0", *argv]) == 0
+    assert main(["check", "--input", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["assumptions"][0] == {"assumption": 1, "holds": True, "violations": []}
+
+
+# SHA-256 of the `check` reports, JSON then text, of every instance in
+# CHECK_CASES, one after another: the witnesses of all five checkers.
+CHECK_SHA256 = "575113ee84cd46e339df6da7a585b32f9c81fd870fc6910f76079244496eaed8"
+CHECK_CASES = [
+    (seed, dims, profile)
+    for profile in wardalloc.PROFILES
+    for dims in [(2, 2), (3, 4), (6, 6), (4, 1)]
+    for seed in range(10)
+] + [(0, (3, 40), "assumption1-satisfying")]
+
+
+def test_check_report_bytes_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path = tmp_path / "scenario.json"
+    for seed, dims, profile in CHECK_CASES:
+        save_scenario(generate_scenario(seed, dims, profile), path)
+        for fmt in ("json", "text"):
+            assert main(["check", "--input", str(path), "--format", fmt]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CHECK_SHA256
 
 
 # ---------------------------------------------------------------------------

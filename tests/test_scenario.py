@@ -1,8 +1,10 @@
 """Data model tests: integer splits, demand cells, assumption checkers,
 seeded generation, and the JSON scenario format."""
 
+import copy
 import itertools
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, minimax_split
+from conftest import (
+    make_instance,
+    minimax_split,
+    reference_a1_failures,
+    reference_assumption4,
+    reference_split,
+)
 from wardalloc import (
     GenerationError,
     InstanceTooLargeError,
@@ -33,7 +41,7 @@ from wardalloc import (
     save_scenario,
 )
 from wardalloc.cli import main
-from wardalloc.scenario import PROFILES
+from wardalloc.scenario import PROFILES, _a1_failures
 
 THIRDS = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
@@ -181,11 +189,17 @@ def test_split_zero_total():
         (-5, (Fraction(1, 2), Fraction(1, 2))),
         (Fraction(5, 2), (Fraction(1, 2), Fraction(1, 2))),
         (True, (Fraction(1),)),
+        (10, (float("nan"), 0.5)),
+        (10, (float("inf"), 0.5)),
+        (10, (float("-inf"), 0.5)),
+        (10, ("1/2", "1/2")),
+        (10, (None, Fraction(1))),
     ],
 )
 def test_split_rejects_what_it_cannot_split_exactly(total, shares):
     # each of these once came back with parts that do not sum to the total
-    # or with negative parts
+    # or with negative parts, or raised TypeError (a string, None); NaN and
+    # the infinities have no integer ratio
     with pytest.raises(InvalidInstanceError):
         largest_remainder_split(total, shares)
 
@@ -199,6 +213,11 @@ def test_split_rejects_what_it_cannot_split_exactly(total, shares):
         (1, (9, 1)),
         (3, (1, 1)),
         (17, (5, 2, 2, 5)),
+        # equal smallest shares and equal remainders
+        (5, (1, 1, 2, 2)),
+        (7, (1, 1, 1, 1, 1, 1)),
+        (0, (3,)),
+        (9, (2, 1, 1, 2)),
     ],
 )
 def test_split_matches_minimax_enumeration(total, weights):
@@ -364,6 +383,81 @@ def test_assumption1_fails_for_lopsided_market(lopsided_market):
 def test_assumption1_vacuous_with_single_ward():
     inst = make_instance((5,), (Fraction(1),))
     assert check_assumption1(inst).holds
+
+
+# Group sizes that make empty and equal smallest groups common.
+TIE_SIZES = (0, 1, 2, 3, 4, 6, 12)
+
+
+def tie_heavy_shares(rng, nq):
+    """nq positive shares over one denominator from 2 to 12, so that equal
+    smallest shares are common."""
+    den = rng.randint(max(2, nq), 12)
+    cuts = sorted(rng.sample(range(1, den), nq - 1))
+    return [Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+
+
+def tie_heavy_costs(rng, nr):
+    """One (district, hospital) pair's internal costs in 0..2, equal across
+    the wards seven times in ten."""
+    if rng.random() < 0.7:
+        return [rng.randint(0, 2)] * nr
+    return [rng.randint(0, 2) for _ in range(nr)]
+
+
+def assert_rules_match_fraction_forms(inst):
+    """Assumption 1's failures, each ward's split and assumption 4's report
+    equal what their Fraction forms give, messages included."""
+    sizes, population = inst.group_sizes, inst.population
+    assert list(_a1_failures(sizes, population)) == list(
+        reference_a1_failures(sizes, population)
+    )
+    for size in sizes:
+        assert largest_remainder_split(size, population) == reference_split(size, population)
+    got, expected = check_assumption4(inst), reference_assumption4(inst)
+    assert got == expected
+    assert [v.message for v in got.violations] == [v.message for v in expected.violations]
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_rules_match_fraction_forms_on_generated_instances(profile):
+    for dims in [(1, 1), (2, 2), (3, 4), (4, 1), (6, 6), (5, 8)]:
+        for seed in range(10):
+            assert_rules_match_fraction_forms(generate_scenario(seed, dims, profile))
+
+
+def test_rules_match_fraction_forms_on_tie_heavy_instances():
+    # one hospital and one ward included
+    rng = random.Random(16)
+    for _ in range(1500):
+        nq, nr = rng.randint(1, 4), rng.randint(1, 4)
+        inst = make_instance(
+            [rng.choice(TIE_SIZES) for _ in range(nr)],
+            tie_heavy_shares(rng, nq),
+            internal=[[tie_heavy_costs(rng, nr) for _ in range(nq)] for _ in range(nq)],
+        )
+        assert_rules_match_fraction_forms(inst)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 3), (2, 2), (3, 3), (2, 4)])
+def test_assumption4_matches_fraction_form_at_every_planted_difference(dims):
+    # internal costs equal across wards, then one cost changed at each
+    # (district, hospital, ward) position in turn; a cost written with
+    # another numerator and denominator of the same value is no difference
+    nq, nr = dims
+    constant = [[[f"{d * nq + q + 1}/3"] * nr for q in range(nq)] for d in range(nq)]
+    cases = [constant]
+    for d, q, r in itertools.product(range(nq), range(nq), range(nr)):
+        for value in ("1/7", f"{2 * (d * nq + q + 1)}/6"):
+            planted = copy.deepcopy(constant)
+            planted[d][q][r] = value
+            cases.append(planted)
+    failing = []
+    for internal in cases:
+        inst = make_instance([1] * nr, [Fraction(1, nq)] * nq, internal=internal)
+        assert_rules_match_fraction_forms(inst)
+        failing.append(not check_assumption4(inst).holds)
+    assert failing == [False] + [nr > 1, False] * (nq * nq * nr)
 
 
 def a2_instance(budget=10, out=25):
