@@ -24,6 +24,8 @@ from .scenario import (
     CostModel,
     DemandCell,
     ScenarioInstance,
+    _debug,
+    _entries,
     check_assumption4,
     check_assumption5,
     format_rational,
@@ -45,10 +47,13 @@ class ExcellenceSet:
 
     @classmethod
     def of(cls, pairs) -> "ExcellenceSet":
-        return cls(members=frozenset((q, r) for q, r in pairs))
+        """The set of the given (hospital id, ward id) pairs; anything but a
+        pair raises an invalid-instance error naming it."""
+        pairs = (_entries(pair, f"excellence members[{i}]", 2) for i, pair in enumerate(pairs))
+        return cls(members=frozenset(map(tuple, pairs)))
 
     def __contains__(self, pair) -> bool:
-        return tuple(pair) in self.members
+        return isinstance(pair, (list, tuple)) and tuple(pair) in self.members
 
     def __len__(self) -> int:
         return len(self.members)
@@ -70,7 +75,9 @@ class ExcellenceSet:
         return tuple((inst.hospitals[qi], inst.wards[ri]) for qi, ri in self._indices(inst))
 
     def cost(self, inst: ScenarioInstance) -> Fraction:
-        return sum((inst.excel_cost[qi][ri] for qi, ri in self._indices(inst)), Fraction(0))
+        model = inst._costs
+        spent = sum(model.prices[qi][ri] for qi, ri in self._indices(inst))
+        return Fraction(spent, model.price_scale)
 
 
 EMPTY_EXCELLENCE = ExcellenceSet(frozenset())
@@ -245,14 +252,8 @@ def _greedy_steps(inst: ScenarioInstance, pairs, budget: int):
             for pos, c_in in taken:
                 current[ri][pos] = c_in
     finally:
-        # imported here so that importing the package does not load logging
-        # (about 3 ms); the CLI has loaded it already
-        import logging
-
-        logging.getLogger(__name__).debug(
-            "greedy: steps taken %d, pairs scored %d, pairs pushed back %d",
-            steps, scored, pushed_back,
-        )
+        message = "greedy: steps taken %d, pairs scored %d, pairs pushed back %d"
+        _debug(__name__, message, steps, scored, pushed_back)
 
 
 def greedy_solve(inst: ScenarioInstance) -> PlanSolution:
@@ -283,18 +284,19 @@ def exact_solve(inst: ScenarioInstance) -> PlanSolution:
     Wards share only the budget (an upgrade in ward r moves only ward-r
     cells), so plans grow ward by ward in Nemhauser & Ullmann's Pareto merge:
     each meets every fitting subset of the ward's upgrades and is kept only if
-    its (z, size, members) key beats every plan that spends no more. Ties
-    survive: equal-size sorted member lists compare by the smallest pair in
-    their symmetric difference, which other wards' pairs never enter. Guarded
-    by EXACT_ENUMERATION_CAP. Cells follow evaluate_Z's rule. Spending and
-    each ward's savings are ints at the price and ward scales; z, which
-    spans wards, is a rational."""
-    nq = inst.num_hospitals
+    its (z, size, -members) key beats every plan that spends no more. members
+    has pair (qi, ri) at bit n-1-(qi*|R|+ri), n = |Q|*|R|, so among equal
+    sizes the larger mask is the smaller sorted member list. Each part of a
+    record is a sum over wards (their bits are disjoint), and adding the same
+    subset to two plans keeps their order. Guarded by EXACT_ENUMERATION_CAP.
+    Cells follow evaluate_Z's rule. Spending and each ward's savings are ints
+    at the price and ward scales; z, which spans wards, is a rational."""
+    nq, nr = inst.num_hospitals, inst.num_wards
     model = inst._costs
     budget, price_scale = model.budget, model.price_scale
     outside = _outside_costs(model)
-    # plans: (spent, z, size, members); subsets: (costs, spent, saving, members)
-    plans = [(0, _patient_cost(model, outside), 0, ())]
+    # plans: (spent, z, size, -members); subsets: (spent, z change, size, -members)
+    plans = [(0, _patient_cost(model, outside), 0, 0)]
     formed = 0
     for ri, (scale, rows) in enumerate(model.wards):
         formed += len(plans) << nq
@@ -303,31 +305,32 @@ def exact_solve(inst: ScenarioInstance) -> PlanSolution:
                 f"ward {inst.wards[ri]!r} would bring the run to {formed} candidate "
                 f"plans, over the exact solver's cap of {EXACT_ENUMERATION_CAP}"
             )
-        subsets = [(outside[ri], 0, 0, ())]
-        for qi in range(nq):
-            price = model.prices[qi][ri]
-            for costs, s, saved, ms in list(subsets):
-                if s + price <= budget:  # else no superset fits either
+        # depth first: each subset's cell costs live until its children are built
+        subsets, stack = [], [(0, outside[ri], 0, 0, 0, 0)]
+        while stack:
+            first, costs, s, saved, size, key = stack.pop()
+            subsets.append((s, _z_change(s, saved, price_scale, scale), size, key))
+            for qi in range(first, nq):
+                price = model.prices[qi][ri]
+                if s + price <= budget:  # else no superset through qi fits either
                     taken, saving = _improvements(rows, costs, qi)
                     moved = list(costs)
                     for pos, c_in in taken:
                         moved[pos] = c_in
-                    subsets.append((moved, s + price, saved + saving, ms + ((qi, ri),)))
-        # each subset's z change; its cost list is no longer needed
-        subsets = [
-            (s, _z_change(s, saved, price_scale, scale), ms) for _, s, saved, ms in subsets
-        ]
+                    bit = 1 << nq * nr - 1 - (qi * nr + ri)
+                    stack.append((qi + 1, moved, s + price, saved + saving, size + 1, key - bit))
         plans, candidates = [], sorted(
-            (spent + s, z + dz, size + len(ms), tuple(sorted(members + ms)))
-            for spent, z, size, members in plans
-            for s, dz, ms in subsets
+            (spent + s, z + dz, size + k, key + m)
+            for spent, z, size, key in plans
+            for s, dz, k, m in subsets
             if spent + s <= budget
         )
         for plan in candidates:
             if not plans or plan[1:] < plans[-1][1:]:
                 plans.append(plan)
-    _, z, _, members = plans[-1]  # keys fall as spending rises
-    return _checked_solution(inst, members, z)
+    _, z, _, key = plans[-1]  # keys fall as spending rises
+    chosen = [divmod(i, nr) for i in range(nq * nr) if -key >> nq * nr - 1 - i & 1]
+    return _checked_solution(inst, chosen, z)
 
 
 def ward_order(inst: ScenarioInstance) -> tuple[str, ...]:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InstanceTooLargeError, InvalidInstanceError
-from .scenario import ScenarioInstance, check_assumption1, format_rational
+from .scenario import ScenarioInstance, _entries, check_assumption1, format_rational
 
 # Most payoff entries (|R| ** |Q| profiles x |Q| payoffs each) the full payoff
 # tensor may hold: memory and time grow with the entries, not the profiles.
@@ -27,8 +27,9 @@ class StrategyProfile:
     wards: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "hospitals", tuple(self.hospitals))
-        object.__setattr__(self, "wards", tuple(self.wards))
+        for name in ("hospitals", "wards"):
+            ids = _entries(getattr(self, name), f"profile {name}")
+            object.__setattr__(self, name, tuple(ids))
         if len(self.hospitals) != len(self.wards) or not self.hospitals:
             raise InvalidInstanceError(
                 "profile must assign exactly one ward to every hospital"
@@ -63,12 +64,12 @@ class PayoffTensor:
     payoffs: dict[tuple[str, ...], tuple[Fraction, ...]]
 
     def __post_init__(self):
-        nq, allowed = len(self.hospitals), set(self.strategies)
         for name, ids in (("hospitals", self.hospitals), ("strategies", self.strategies)):
-            if not ids or len(set(ids)) != len(ids):
+            if not _entries(ids, f"payoff tensor {name}") or len(set(ids)) != len(ids):
                 raise InvalidInstanceError(
                     f"payoff tensor {name} must be distinct and non-empty, got {ids!r}"
                 )
+        nq, allowed = len(self.hospitals), set(self.strategies)
         # the keys are distinct, so the right count of keys drawn from the
         # strategies is exactly the strategy product
         expected = len(self.strategies) ** nq

@@ -107,11 +107,12 @@ def format_rational(x: Fraction) -> str:
         ) from None
 
 
-def _entries(values, name: str, count: int):
-    """values, checked to be a list (or tuple) of exactly `count` entries."""
+def _entries(values, name: str, count: int | None = None):
+    """values, checked to be a list (or tuple), of exactly `count` entries
+    when a count is given."""
     if not isinstance(values, (list, tuple)):
         raise InvalidInstanceError(f"{name}: expected a list, got {type(values).__name__}")
-    if len(values) != count:
+    if count is not None and len(values) != count:
         raise InvalidInstanceError(f"{name}: expected {count} entries, got {len(values)}")
     return values
 
@@ -181,11 +182,7 @@ class ScenarioInstance:
 
     def __post_init__(self):
         for name, kind in (("hospitals", "hospital"), ("wards", "ward type")):
-            ids = getattr(self, name)
-            if not isinstance(ids, (list, tuple)):
-                raise InvalidInstanceError(
-                    f"{name}: expected a list, got {type(ids).__name__}"
-                )
+            ids = _entries(getattr(self, name), name)
             if not ids:
                 raise InvalidInstanceError(f"{name}: need at least one {kind}")
             if any(not isinstance(i, str) or not i for i in ids):
@@ -303,17 +300,23 @@ class ScenarioInstance:
             tuple(_scaled(row, price_scale) for row in prices),
             scaled_budget,
         )
-        # imported here so that importing the package does not load logging
-        # (about 3 ms); the CLI has loaded it already
-        import logging
-
-        logging.getLogger(__name__).debug(
+        _debug(
+            __name__,
             "cost model: price scale %d bits, largest ward scale %d bits, built in %.6f s",
             price_scale.bit_length(),
             max(ward.scale.bit_length() for ward in wards),
             time.perf_counter() - start,
         )
         return model
+
+
+def _debug(logger: str, message: str, *args) -> None:
+    """Log message % args at DEBUG on the named logger. logging is imported
+    here so that importing the package does not load it (about 3 ms); the
+    CLI has loaded it already."""
+    import logging
+
+    logging.getLogger(logger).debug(message, *args)
 
 
 class WardCosts(NamedTuple):

@@ -89,6 +89,8 @@ def test_excellence_set_basics(comparable_market):
     assert len(t) == 2
     assert ("q1", "r1") in t
     assert ("q2", "r1") not in t
+    assert ["q1", "r1"] in t
+    assert "ab" not in ExcellenceSet.of([("a", "b")])  # a string is not a pair
     assert t.sorted_members(comparable_market) == (("q1", "r1"), ("q1", "r2"))
     assert t.cost(comparable_market) == 2
     assert len(EMPTY_EXCELLENCE) == 0
@@ -107,6 +109,24 @@ def test_excellence_set_rejects_unknown_pair(comparable_market):
     for use in uses:
         with pytest.raises(InvalidInstanceError, match=r"^excellence pair \('q1', 'zz'\) is not"):
             use(comparable_market)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        (["ax"], r"excellence members\[0\]: expected a list, got str"),
+        ("ax", r"excellence members\[0\]: expected a list, got str"),
+        ([("a", "x"), ("a", "x", "y")], r"excellence members\[1\]: expected 2 entries, got 3"),
+        ([("a",)], r"excellence members\[0\]: expected 2 entries, got 1"),
+    ],
+    ids=["string-member", "bare-string", "triple", "single"],
+)
+def test_excellence_set_rejects_members_that_are_not_pairs(pairs, message):
+    # split into characters, "ax" would pass as the pair ("a", "x")
+    halves = (Fraction(1, 2), Fraction(1, 2))
+    inst = make_instance((10, 10), halves, budget=2, hospitals=("a", "b"), wards=("x", "y"))
+    with pytest.raises(InvalidInstanceError, match=f"^{message}$"):
+        evaluate_Z(ExcellenceSet.of(pairs), inst)
 
 
 def test_admissible_respects_budget():

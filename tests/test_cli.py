@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wardalloc
-from conftest import make_instance
+from conftest import make_instance, tie_heavy_instance, with_budget_share
 from wardalloc import (
     build_payoff_tensor,
     dumps_scenario,
@@ -269,6 +269,34 @@ def test_central_exact_json(scenario_file, capsys):
     assert Fraction(doc["z_value"]) == sol.z_value
     assert doc["trace"] == []
     assert "staircase" not in doc
+
+
+EXACT_SHA256 = "c0f8f906eb6c6caeaa10ce3f5d563bc3742c90eb30789ba3743847fb8623db40"
+
+
+def exact_cases():
+    """Generated instances at their own budget and at 1/4 and 1/2 of all
+    upgrade costs, then tie-heavy ones."""
+    for profile in wardalloc.PROFILES:
+        for dims in [(3, 3), (4, 4), (3, 5), (6, 3)]:
+            for seed in range(5):
+                inst = generate_scenario(seed, dims, profile)
+                yield inst
+                yield from (with_budget_share(inst, Fraction(1, k)) for k in (4, 2))
+    yield from (tie_heavy_instance(seed) for seed in range(60))
+
+
+def test_central_exact_report_bytes_are_pinned(tmp_path, capsys):
+    # the seed-0 digests miss tie-order changes; these tie-heavy and
+    # budget-varied plans catch them in the reports themselves
+    digest = hashlib.sha256()
+    path = tmp_path / "scenario.json"
+    for inst in exact_cases():
+        save_scenario(inst, path)
+        for fmt in ("json", "text"):
+            assert main(["central-exact", "--input", str(path), "--format", fmt]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == EXACT_SHA256
 
 
 def test_central_text_mentions_breakdown(planned_file, capsys):

@@ -64,6 +64,14 @@ def test_profile_shape_validation():
         StrategyProfile(hospitals=("a", "b"), wards=("r1",))
     with pytest.raises(InvalidInstanceError):
         StrategyProfile(hospitals=(), wards=())
+    # a bare string would otherwise be split into one id per character
+    for hospitals, wards, message in [
+        ("ab", ("x", "y"), "profile hospitals: expected a list, got str"),
+        (("a", "b"), "xy", "profile wards: expected a list, got str"),
+        (None, ("x",), "profile hospitals: expected a list, got NoneType"),
+    ]:
+        with pytest.raises(InvalidInstanceError, match=f"^{message}$"):
+            StrategyProfile(hospitals=hospitals, wards=wards)
 
 
 def test_profile_uniformity():
@@ -171,6 +179,21 @@ def test_tensor_rejects_no_hospitals():
 def test_tensor_rejects_no_strategies():
     with pytest.raises(InvalidInstanceError, match="strategies must be .*non-empty"):
         PayoffTensor(hospitals=("a", "b"), strategies=(), payoffs={})
+
+
+@pytest.mark.parametrize(
+    "hospitals, strategies, named",
+    [("ab", ("x", "y"), "hospitals"), (("a", "b"), "xy", "strategies"), (3, ("x",), "hospitals")],
+    ids=["hospitals", "strategies", "int"],
+)
+def test_tensor_rejects_ids_not_in_a_list(hospitals, strategies, named):
+    keys = [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
+    with pytest.raises(InvalidInstanceError, match=f"^payoff tensor {named}: expected a list"):
+        PayoffTensor(
+            hospitals=hospitals,
+            strategies=strategies,
+            payoffs={k: (Fraction(1), Fraction(1)) for k in keys},
+        )
 
 
 def test_tensor_validates_entry_count():
