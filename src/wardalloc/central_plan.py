@@ -45,10 +45,18 @@ class ExcellenceSet:
 
     members: frozenset[tuple[str, str]]
 
+    def __post_init__(self):
+        # the one member rule, whether built here or through `of`
+        if not isinstance(self.members, frozenset):
+            kind = type(self.members).__name__
+            raise InvalidInstanceError(f"excellence members: expected a frozenset, got {kind}")
+        for member in self.members:
+            _entries(member, f"excellence member {member!r}", 2)
+
     @classmethod
     def of(cls, pairs) -> "ExcellenceSet":
         """The set of the given (hospital id, ward id) pairs; anything but a
-        pair raises an invalid-instance error naming it."""
+        pair raises an invalid-instance error naming it by its index."""
         pairs = (_entries(pair, f"excellence members[{i}]", 2) for i, pair in enumerate(pairs))
         return cls(members=frozenset(map(tuple, pairs)))
 

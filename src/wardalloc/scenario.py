@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -44,34 +45,40 @@ _MAX_DIGITS = 4300
 _TOO_LONG = 10**_MAX_DIGITS  # the smallest int of more than _MAX_DIGITS digits
 
 
+def _plain(value: str) -> Fraction | None:
+    """A plain "n/d" of ASCII digits, d non-zero and each part of at most
+    _MAX_DIGITS digits, parsed as two ints, which gives what Fraction(str)
+    gives; None for any other string. Its value is never negative, and its
+    digit counts bound both parts."""
+    num, _, den = value.partition("/")
+    if (
+        value.isascii()
+        and num.isdigit()
+        and den.isdigit()
+        and len(num) <= _MAX_DIGITS
+        and len(den) <= _MAX_DIGITS
+        and den.strip("0")
+    ):
+        return Fraction(int(num), int(den))
+    return None
+
+
 def parse_rational(value, name: str = "value") -> Fraction:
     """Parse a JSON-borne rational: an int, a "num/den" string, or a decimal
     string whose exponent is at most _MAX_DIGITS in magnitude. The numerator
     and denominator may have at most _MAX_DIGITS digits each."""
     # strings first: most values are strings, and Fraction's isinstance is slow
     if isinstance(value, str):
-        num, _, den = value.partition("/")
-        # a plain "n/d" of ASCII digits, d non-zero, parses as two ints, which
-        # is what Fraction(str) makes of it too; any other string takes that path
-        plain = (
-            value.isascii()
-            and num.isdigit()
-            and den.isdigit()
-            and len(num) <= _MAX_DIGITS
-            and len(den) <= _MAX_DIGITS
-            and den.strip("0")
-        )
-        if not plain:
-            _, _, exponent = value.lower().partition("e")
-            digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-            # leading zeros are gone, so the first five digits decide the bound
-            if digits.isdecimal() and int(digits[:5]) > _MAX_DIGITS:
-                raise InvalidInstanceError(
-                    f"{name}: decimal exponent of {value!r} exceeds {_MAX_DIGITS}"
-                )
+        if (plain := _plain(value)) is not None:
+            return plain
+        _, _, exponent = value.lower().partition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        # leading zeros are gone, so the first five digits decide the bound
+        if digits.isdecimal() and int(digits[:5]) > _MAX_DIGITS:
+            raise InvalidInstanceError(
+                f"{name}: decimal exponent of {value!r} exceeds {_MAX_DIGITS}"
+            )
         try:
-            if plain:  # its digit counts already bound both parts
-                return Fraction(int(num), int(den))
             x = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInstanceError(f"{name}: cannot parse rational {value!r}") from exc
@@ -126,12 +133,20 @@ def _rationals(values, name: str, shape: tuple[int, ...]):
         return tuple(
             _rationals(v, f"{name}[{i}]", shape[1:]) for i, v in enumerate(values)
         )
-    row = []
+    row, last = [], None
     for i, v in enumerate(values):
-        x = parse_rational(v, f"{name}[{i}]")
-        if x.numerator < 0:
-            raise InvalidInstanceError(f"{name}[{i}]: must be non-negative, got {x}")
+        # a copy of the value before it (the same object, or an equal string,
+        # as assumptions 4 and 5 repeat along the ward axis) was checked already
+        if row and (v is last or type(v) is type(last) is str and v == last):
+            row.append(row[-1])
+            continue
+        x = _plain(v) if isinstance(v, str) else None
+        if x is None:
+            x = parse_rational(v, f"{name}[{i}]")
+            if x.numerator < 0:
+                raise InvalidInstanceError(f"{name}[{i}]: must be non-negative, got {x}")
         row.append(x)
+        last = v
     return tuple(row)
 
 
@@ -741,10 +756,15 @@ def save_scenario(inst: ScenarioInstance, path) -> None:
 def load_scenario(path) -> ScenarioInstance:
     """Load and validate a scenario file; any defect raises an invalid-instance
     error naming the offending field."""
+    start = time.perf_counter()
     with open(path, "r", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
         try:
             doc = json.loads(fh.read())
         # ValueError also covers bytes that are not UTF-8 and over-long ints
         except (ValueError, RecursionError) as exc:
             raise InvalidInstanceError(f"malformed JSON in scenario file: {exc}") from exc
-    return instance_from_dict(doc)
+    inst = instance_from_dict(doc)
+    elapsed = time.perf_counter() - start
+    _debug(__name__, "scenario: loaded %s, %d bytes, in %.6f s", path, size, elapsed)
+    return inst

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the package's own algorithms: splits are
 checked against full enumeration and against Fraction quotas, assumptions 1
 and 4 against their Fraction forms, plan values against a per-cell brute
 force, greedy plans and convenience orders against step-by-step searches
-valued by that brute force, and the LP export against a tiny standalone
-CPLEX-LP parser plus an external MILP solver when one is installed.
+valued by that brute force, the loader's nested rationals against a walk
+that parses every value on its own, and the LP export against a tiny
+standalone CPLEX-LP parser plus an external MILP solver when one is installed.
 """
 
 import dataclasses
@@ -20,7 +21,9 @@ from wardalloc import (
     PayoffTensor,
     ScenarioInstance,
     Violation,
+    parse_rational,
 )
+from wardalloc.scenario import _entries
 
 
 def make_instance(
@@ -173,6 +176,23 @@ def reference_assumption4(inst):
                     witness = Violation("internal-cost-depends-on-ward", where, base, value)
                     return AssumptionReport(4, (witness,))
     return AssumptionReport(4, ())
+
+
+def reference_rationals(values, name, shape):
+    """The scenario loader's nested rationals from a walk that parses and
+    checks every leaf on its own, under its own element name."""
+    values = _entries(values, name, shape[0])
+    if len(shape) > 1:
+        return tuple(
+            reference_rationals(v, f"{name}[{i}]", shape[1:]) for i, v in enumerate(values)
+        )
+    row = []
+    for i, v in enumerate(values):
+        x = parse_rational(v, f"{name}[{i}]")
+        if x.numerator < 0:
+            raise InvalidInstanceError(f"{name}[{i}]: must be non-negative, got {x}")
+        row.append(x)
+    return tuple(row)
 
 
 def brute_z(inst, members):

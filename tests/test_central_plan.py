@@ -129,6 +129,31 @@ def test_excellence_set_rejects_members_that_are_not_pairs(pairs, message):
         evaluate_Z(ExcellenceSet.of(pairs), inst)
 
 
+@pytest.mark.parametrize(
+    "member, message",
+    [
+        ("ax", r"excellence member 'ax': expected a list, got str"),
+        (("a", "x", "y"), r"excellence member \('a', 'x', 'y'\): expected 2 entries, got 3"),
+        (5, r"excellence member 5: expected a list, got int"),
+    ],
+    ids=["string", "triple", "int"],
+)
+def test_excellence_set_constructor_rejects_members_that_are_not_pairs(member, message):
+    # the constructor keeps the rule `of` keeps; unpacked, "ax" would score
+    # as the pair ("a", "x")
+    halves = (Fraction(1, 2), Fraction(1, 2))
+    inst = make_instance((10, 10), halves, budget=2, hospitals=("a", "b"), wards=("x", "y"))
+    with pytest.raises(InvalidInstanceError, match=f"^{message}$"):
+        evaluate_Z(ExcellenceSet(frozenset({member})), inst)
+
+
+@pytest.mark.parametrize("members", [5, None, [("a", "x")]], ids=["int", "none", "list"])
+def test_excellence_set_constructor_takes_a_frozenset(members):
+    message = r"^excellence members: expected a frozenset, got "
+    with pytest.raises(InvalidInstanceError, match=message):
+        ExcellenceSet(members)
+
+
 def test_admissible_respects_budget():
     inst = make_instance(
         (10,), (Fraction(1),), excel=[[7]], budget=7

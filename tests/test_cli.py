@@ -623,9 +623,27 @@ def test_very_verbose_logs_each_cost_model_build(planned_file, capsys, caplog):
     quiet = capsys.readouterr().out
     assert main(argv + ["-vv"]) == 0
     assert capsys.readouterr().out == quiet
-    [message] = [r.getMessage() for r in caplog.records if r.name == "wardalloc.scenario"]
+    # the load's line comes first
+    _, message = [r.getMessage() for r in caplog.records if r.name == "wardalloc.scenario"]
     assert re.fullmatch(
         r"cost model: price scale 11 bits, largest ward scale 7 bits, built in \d+\.\d{6} s",
+        message,
+    )
+
+
+def test_very_verbose_logs_each_scenario_load(planned_file, capsys, caplog):
+    # one line per file loaded, with its size in bytes; none at -v
+    argv = ["check", "--input", str(planned_file), "--format", "json"]
+    assert main(argv + ["-v"]) == 0
+    quiet = capsys.readouterr().out
+    assert not caplog.records
+    assert main(argv + ["-vv"]) == 0
+    assert capsys.readouterr().out == quiet
+    # check builds the cost model after the load, which logs its own line
+    message, _ = [r.getMessage() for r in caplog.records if r.name == "wardalloc.scenario"]
+    size = planned_file.stat().st_size
+    assert re.fullmatch(
+        rf"scenario: loaded {re.escape(str(planned_file))}, {size} bytes, in \d+\.\d{{6}} s",
         message,
     )
 

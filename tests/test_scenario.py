@@ -2,6 +2,7 @@
 seeded generation, and the JSON scenario format."""
 
 import copy
+import hashlib
 import itertools
 import json
 import random
@@ -17,7 +18,9 @@ from conftest import (
     minimax_split,
     reference_a1_failures,
     reference_assumption4,
+    reference_rationals,
     reference_split,
+    tie_heavy_instance,
 )
 from wardalloc import (
     GenerationError,
@@ -39,6 +42,7 @@ from wardalloc import (
     load_scenario,
     parse_rational,
     save_scenario,
+    scenario,
 )
 from wardalloc.cli import main
 from wardalloc.scenario import PROFILES, _a1_failures
@@ -938,3 +942,140 @@ def test_any_field_value_loads_or_is_rejected(field, path, value):
         owner, key = owner[key], index % len(owner[key])
     owner[key] = value
     loads_or_rejects(doc)
+
+
+# ---------------------------------------------------------------------------
+# the loader's leaf walk
+
+# Leaf values a scenario file may hold: plain "n/d" strings, strings that
+# only Fraction(str) parses or nothing parses, a negative, ints, booleans,
+# floats and null.
+LEAF_POOL = (
+    "1/2", "7/4", "0/1", "12/5",
+    "3/6", "1.5e3", "0.25", " 1/2", "１/2", "1/00", "1/0",
+    "-1", 0, 3, -2, True, False, 1.5, 0.0, None,
+)
+RATIONAL_FIELDS = ("population", "excel_cost", "internal_cost", "out_cost", "budget")
+
+
+def load_outcome(doc):
+    """dumps_scenario of the loaded document, or "<error type>: <message>"."""
+    try:
+        return dumps_scenario(instance_from_dict(doc))
+    except InvalidInstanceError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def replaced_documents(count):
+    """`count` seeded scenario files: a generated 2x2, 3x3 or 2x4 document
+    with one element, or a run of elements along the ward axis, replaced by
+    one value from LEAF_POOL."""
+    rng = random.Random(0)
+    bases = [
+        dumps_scenario(generate_scenario(seed, dims, profile))
+        for dims in [(2, 2), (3, 3), (2, 4)]
+        for profile in PROFILES
+        for seed in range(3)
+    ]
+    for _ in range(count):
+        doc = json.loads(rng.choice(bases))
+        field, value = rng.choice(RATIONAL_FIELDS), rng.choice(LEAF_POOL)
+        if field == "budget":
+            doc[field] = value
+        else:
+            row = doc[field]
+            while isinstance(row[0], list):
+                row = rng.choice(row)
+            start = rng.randrange(len(row))
+            end = rng.randint(start + 1, len(row))
+            row[start:end] = [value] * (end - start)
+        yield json.loads(json.dumps(doc))
+
+
+# SHA-256 of load_outcome of every document replaced_documents(1200) makes,
+# one after another: which value loads, and which element an error names.
+LOAD_OUTCOMES_SHA256 = "bf6bb2ea47dccef15b03cfa5d141eb8317c07926e655f5417ccbadc71d55d676"
+
+
+def test_load_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    for doc in replaced_documents(1200):
+        digest.update(load_outcome(doc).encode() + b"\0")
+    assert digest.hexdigest() == LOAD_OUTCOMES_SHA256
+
+
+def leaf_outcome(build):
+    """build()'s instance with its document bytes, or "<error type>: <message>"."""
+    try:
+        inst = build()
+    except InvalidInstanceError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return inst, dumps_scenario(inst)
+
+
+def assert_leaf_walk_matches_reference(build):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "_rationals", reference_rationals)
+        expected = leaf_outcome(build)
+    assert leaf_outcome(build) == expected
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_leaf_walk_matches_reference_on_generated_instances(profile):
+    for dims in [(1, 1), (2, 4), (3, 3), (5, 3), (4, 6)]:
+        for seed in range(3):
+            text = dumps_scenario(generate_scenario(seed, dims, profile))
+            assert_leaf_walk_matches_reference(lambda: generate_scenario(seed, dims, profile))
+            assert_leaf_walk_matches_reference(lambda: instance_from_dict(json.loads(text)))
+
+
+def test_leaf_walk_matches_reference_on_tie_heavy_instances():
+    for seed in range(60):
+        text = dumps_scenario(tie_heavy_instance(seed))
+        assert_leaf_walk_matches_reference(lambda: tie_heavy_instance(seed))
+        assert_leaf_walk_matches_reference(lambda: instance_from_dict(json.loads(text)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(RATIONAL_FIELDS[:-1]),
+    st.integers(0, 3),
+    st.lists(st.tuples(st.sampled_from(LEAF_POOL), st.integers(1, 4)), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_leaf_walk_matches_reference_on_repeated_values(field, where, runs, as_file):
+    # one row of a generated 2x4 document becomes runs of pool values: the
+    # same object repeated, or equal but distinct objects as a file holds them
+    doc = instance_to_dict(generate_scenario(where, (2, 4), PROFILES[where % 3]))
+    row = doc[field]
+    while isinstance(row[0], list):
+        row = row[where % 2]
+    row[:] = ([v for v, count in runs for _ in range(count)] + row)[: len(row)]
+    if as_file:
+        doc = json.loads(json.dumps(doc))
+    assert_leaf_walk_matches_reference(lambda: instance_from_dict(doc))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([1, "1/0", "1/0"], r"\[1\]: cannot parse rational '1/0'"),
+        (["-1", "-1", "-1"], r"\[0\]: must be non-negative, got -1"),
+        (["1/2", None, None], r"\[1\]: expected int or 'num/den' string, got NoneType"),
+        ([1, 1, True], r"\[2\]: expected a rational, got a boolean"),
+    ],
+)
+def test_repeated_bad_value_is_named_at_its_first_index(row, message):
+    doc = instance_to_dict(generate_scenario(0, (2, 3)))
+    doc["internal_cost"][0][0] = row
+    with pytest.raises(InvalidInstanceError, match=rf"^internal_cost\[0\]\[0\]{message}$"):
+        instance_from_dict(json.loads(json.dumps(doc)))
+
+
+def test_loaded_a45_file_holds_one_fraction_per_internal_cost_row(tmp_path):
+    # assumption 4 writes each internal cost once per ward type; the loader
+    # parses the first copy and reuses it along the row
+    path = tmp_path / "a45.json"
+    save_scenario(generate_scenario(0, (4, 5), "assumption4&5-satisfying"), path)
+    inst = load_scenario(path)
+    assert [len({id(x) for x in row}) for plane in inst.internal_cost for row in plane] == [1] * 16
