@@ -25,7 +25,7 @@ from .scenario import (
     DemandCell,
     ScenarioInstance,
     _debug,
-    _entries,
+    _id_list,
     check_assumption4,
     check_assumption5,
     format_rational,
@@ -51,13 +51,16 @@ class ExcellenceSet:
             kind = type(self.members).__name__
             raise InvalidInstanceError(f"excellence members: expected a frozenset, got {kind}")
         for member in self.members:
-            _entries(member, f"excellence member {member!r}", 2)
+            _id_list(member, f"excellence member {member!r}", 2)
 
     @classmethod
     def of(cls, pairs) -> "ExcellenceSet":
-        """The set of the given (hospital id, ward id) pairs; anything but a
-        pair raises an invalid-instance error naming it by its index."""
-        pairs = (_entries(pair, f"excellence members[{i}]", 2) for i, pair in enumerate(pairs))
+        """The set of any iterable's (hospital, ward) id pairs; errors name a pair's index."""
+        try:
+            pairs = enumerate(pairs)
+        except TypeError as exc:  # not iterable
+            raise InvalidInstanceError(f"excellence members: {exc}") from None
+        pairs = (_id_list(pair, f"excellence members[{i}]", 2) for i, pair in pairs)
         return cls(members=frozenset(map(tuple, pairs)))
 
     def __contains__(self, pair) -> bool:

@@ -216,7 +216,7 @@ def _exact_report(inst) -> dict:
 def _plan_text(report: dict) -> str:
     lines = [report["command"]]
     members = ", ".join(f"({m['hospital']}, {m['ward']})" for m in report["excellence"])
-    lines.append(f"excellence set: {{{members or ''}}}")
+    lines.append(f"excellence set: {{{members}}}")
     z = Fraction(report["z_value"])
     ec = Fraction(report["excel_cost_part"])
     pc = Fraction(report["patient_cost_part"])

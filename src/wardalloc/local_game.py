@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InstanceTooLargeError, InvalidInstanceError
-from .scenario import ScenarioInstance, _entries, check_assumption1, format_rational
+from .scenario import ScenarioInstance, _id_list, _payoff_table, check_assumption1, format_rational
 
 # Most payoff entries (|R| ** |Q| profiles x |Q| payoffs each) the full payoff
 # tensor may hold: memory and time grow with the entries, not the profiles.
@@ -28,18 +28,12 @@ class StrategyProfile:
 
     def __post_init__(self):
         for name in ("hospitals", "wards"):
-            ids = _entries(getattr(self, name), f"profile {name}")
+            ids = _id_list(getattr(self, name), f"profile {name}")
             object.__setattr__(self, name, tuple(ids))
         if len(self.hospitals) != len(self.wards) or not self.hospitals:
             raise InvalidInstanceError(
                 "profile must assign exactly one ward to every hospital"
             )
-
-    def choice(self, hospital: str) -> str:
-        try:
-            return self.wards[self.hospitals.index(hospital)]
-        except ValueError:
-            raise InvalidInstanceError(f"unknown hospital id {hospital!r}") from None
 
     def as_dict(self) -> dict[str, str]:
         return dict(zip(self.hospitals, self.wards))
@@ -65,11 +59,12 @@ class PayoffTensor:
 
     def __post_init__(self):
         for name, ids in (("hospitals", self.hospitals), ("strategies", self.strategies)):
-            if not _entries(ids, f"payoff tensor {name}") or len(set(ids)) != len(ids):
+            if not _id_list(ids, f"payoff tensor {name}") or len(set(ids)) != len(ids):
                 raise InvalidInstanceError(
                     f"payoff tensor {name} must be distinct and non-empty, got {ids!r}"
                 )
         nq, allowed = len(self.hospitals), set(self.strategies)
+        _payoff_table(self.payoffs, "payoff tensor payoffs", nq)
         # the keys are distinct, so the right count of keys drawn from the
         # strategies is exactly the strategy product
         expected = len(self.strategies) ** nq
@@ -78,12 +73,8 @@ class PayoffTensor:
                 f"payoff tensor must hold exactly {expected} profiles, "
                 f"got {len(self.payoffs)}"
             )
-        for key, values in self.payoffs.items():
-            if len(key) != nq or len(values) != nq:
-                raise InvalidInstanceError(
-                    f"payoff tensor entry {key!r} has the wrong arity"
-                )
-            if not allowed.issuperset(key):
+        for key in self.payoffs:
+            if not allowed.issuperset(_id_list(key, f"payoff tensor key {key!r}", nq)):
                 raise InvalidInstanceError(
                     f"payoff tensor entry {key!r} is not a profile of the "
                     f"strategies {self.strategies!r}"

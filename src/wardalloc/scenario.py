@@ -3,7 +3,7 @@ seeded generation, and the JSON scenario file format.
 
 Inputs and reports are exact rationals (fractions.Fraction). Inside, each
 instance's costs are scaled to exact ints, ward by ward (ScenarioInstance.
-_costs); nothing in this package ever compares floats.
+_costs). Only central_plan._lp_num compares a float: can the LP text hold it?
 """
 
 from __future__ import annotations
@@ -124,6 +124,41 @@ def _entries(values, name: str, count: int | None = None):
     return values
 
 
+def _id_list(values, name: str, count: int | None = None):
+    """values, checked by the one id rule: a list (or tuple) of non-empty strings
+    that UTF-8 can encode, `count` of them if given; callers check the rest."""
+    values = _entries(values, name, count)
+    if any(not isinstance(i, str) or not i for i in values):
+        raise InvalidInstanceError(f"{name}: ids must be non-empty strings")
+    for i in values:
+        try:
+            i.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidInstanceError(f"{name}: id {i!r} cannot be encoded as UTF-8") from None
+    return values
+
+
+def _count(value, name: str) -> int:
+    """value, checked by the one count rule: an int, not a bool, >= 0."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        too_long = type(value) is int and value <= -_TOO_LONG  # repr would raise
+        got = f"-10**{_MAX_DIGITS} or less" if too_long else repr(value)
+        raise InvalidInstanceError(f"{name}: must be a non-negative integer, got {got}")
+    return value
+
+
+def _payoff_table(table, name: str, width: int) -> None:
+    """table, checked in place by the one payoff rule: rows of `width` exact rationals."""
+    if not isinstance(table, dict):
+        raise InvalidInstanceError(f"{name}: expected a dict, got {type(table).__name__}")
+    for key, row in table.items():
+        for i, value in enumerate(_entries(row, at := f"{name}[{key!r}]", width)):
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                kind = type(value).__name__
+                raise InvalidInstanceError(f"{at}[{i}]: expected an int or a Fraction, got {kind}")
+            parse_rational(value, f"{at}[{i}]")  # bounds the digits
+
+
 def _rationals(values, name: str, shape: tuple[int, ...]):
     """Nested tuples of non-negative rationals from lists nested len(shape)
     levels deep, level k holding exactly shape[k] entries, in one walk; any
@@ -197,18 +232,9 @@ class ScenarioInstance:
 
     def __post_init__(self):
         for name, kind in (("hospitals", "hospital"), ("wards", "ward type")):
-            ids = _entries(getattr(self, name), name)
+            ids = _id_list(getattr(self, name), name)
             if not ids:
                 raise InvalidInstanceError(f"{name}: need at least one {kind}")
-            if any(not isinstance(i, str) or not i for i in ids):
-                raise InvalidInstanceError(f"{name}: ids must be non-empty strings")
-            for i in ids:
-                try:
-                    i.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise InvalidInstanceError(
-                        f"{name}: id {i!r} cannot be encoded as UTF-8"
-                    ) from None
             if len(set(ids)) != len(ids):
                 raise InvalidInstanceError(f"{name}: ids must be unique")
             object.__setattr__(self, name, tuple(ids))
@@ -223,12 +249,8 @@ class ScenarioInstance:
             raise InvalidInstanceError(
                 f"population: fractions must sum to exactly 1, got {total}"
             )
-        group_sizes = tuple(_entries(self.group_sizes, "group_sizes", nr))
-        for i, s in enumerate(group_sizes):
-            if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-                raise InvalidInstanceError(
-                    f"group_sizes[{i}]: must be a non-negative integer, got {s!r}"
-                )
+        sizes = _entries(self.group_sizes, "group_sizes", nr)
+        group_sizes = tuple(_count(s, f"group_sizes[{i}]") for i, s in enumerate(sizes))
         budget = parse_rational(self.budget, "budget")
         if budget < 0:
             raise InvalidInstanceError(f"budget: must be non-negative, got {budget}")
@@ -369,11 +391,10 @@ def largest_remainder_split(total: int, shares: Sequence[Fraction]) -> list[int]
     is quota i's floor and L times its remainder. A `total` not an int >= 0,
     or shares not numbers, negative or not summing to 1, raise InvalidInstanceError.
     """
-    if isinstance(total, bool) or not isinstance(total, int) or total < 0:
-        raise InvalidInstanceError(f"total: must be a non-negative integer, got {total!r}")
-    try:  # None, a string, NaN and the infinities have no integer ratio
+    _count(total, "total")
+    try:  # no integer ratios: shares not iterable, None, a string, NaN or an infinity
         ratios = [s.as_integer_ratio() for s in shares]
-    except (AttributeError, ValueError, OverflowError):
+    except (TypeError, AttributeError, ValueError, OverflowError):
         ratios = []  # no shares sum to 0, so they are refused below
     scale = math.lcm(*(d for _, d in ratios))
     weights = _scaled(ratios, scale)
@@ -668,7 +689,7 @@ def generate_scenario(
             "assumption4&5-satisfying" builds distance-derived internal costs
             constant across wards and a uniform upgrade cost.
     """
-    nq, nr = dims
+    nq, nr = (_count(n, f"dims[{i}]") for i, n in enumerate(_entries(dims, "dims", 2)))
     if nq < 1 or nr < 1:
         raise InvalidInstanceError("dims: need at least one hospital and one ward type")
     size = nq * nq * nr

@@ -91,6 +91,7 @@ def test_excellence_set_basics(comparable_market):
     assert ("q2", "r1") not in t
     assert ["q1", "r1"] in t
     assert "ab" not in ExcellenceSet.of([("a", "b")])  # a string is not a pair
+    assert ExcellenceSet.of(pair for pair in [("q1", "r2"), ("q1", "r1")]) == t
     assert t.sorted_members(comparable_market) == (("q1", "r1"), ("q1", "r2"))
     assert t.cost(comparable_market) == 2
     assert len(EMPTY_EXCELLENCE) == 0
@@ -118,8 +119,11 @@ def test_excellence_set_rejects_unknown_pair(comparable_market):
         ("ax", r"excellence members\[0\]: expected a list, got str"),
         ([("a", "x"), ("a", "x", "y")], r"excellence members\[1\]: expected 2 entries, got 3"),
         ([("a",)], r"excellence members\[0\]: expected 2 entries, got 1"),
+        (5, r"excellence members: 'int' object is not iterable"),
+        ([(["a"], "x")], r"excellence members\[0\]: ids must be non-empty strings"),
+        ([("a", "")], r"excellence members\[0\]: ids must be non-empty strings"),
     ],
-    ids=["string-member", "bare-string", "triple", "single"],
+    ids=["string-member", "bare-string", "triple", "single", "int", "list-id", "empty-id"],
 )
 def test_excellence_set_rejects_members_that_are_not_pairs(pairs, message):
     # split into characters, "ax" would pass as the pair ("a", "x")
@@ -135,8 +139,9 @@ def test_excellence_set_rejects_members_that_are_not_pairs(pairs, message):
         ("ax", r"excellence member 'ax': expected a list, got str"),
         (("a", "x", "y"), r"excellence member \('a', 'x', 'y'\): expected 2 entries, got 3"),
         (5, r"excellence member 5: expected a list, got int"),
+        (("a", 5), r"excellence member \('a', 5\): ids must be non-empty strings"),
     ],
-    ids=["string", "triple", "int"],
+    ids=["string", "triple", "int", "int-id"],
 )
 def test_excellence_set_constructor_rejects_members_that_are_not_pairs(member, message):
     # the constructor keeps the rule `of` keeps; unpacked, "ax" would score

@@ -2,12 +2,20 @@
 and the diversification verdict."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import RECEPTION_TABLE, make_instance
+from conftest import (
+    RECEPTION_TABLE,
+    closed_form_verdict,
+    lpt_choice,
+    make_instance,
+    tie_heavy_instance,
+)
 from wardalloc import (
+    PROFILES,
     DiversificationVerdict,
     InstanceTooLargeError,
     InvalidInstanceError,
@@ -69,6 +77,10 @@ def test_profile_shape_validation():
         ("ab", ("x", "y"), "profile hospitals: expected a list, got str"),
         (("a", "b"), "xy", "profile wards: expected a list, got str"),
         (None, ("x",), "profile hospitals: expected a list, got NoneType"),
+        # the id rule every constructor shares
+        (("a", "b"), (["x"], "y"), "profile wards: ids must be non-empty strings"),
+        (("a", ""), ("x", "y"), "profile hospitals: ids must be non-empty strings"),
+        (("a", "\ud800"), ("x", "y"), "profile hospitals: id '\\\\ud800' cannot be encoded as UTF-8"),
     ]:
         with pytest.raises(InvalidInstanceError, match=f"^{message}$"):
             StrategyProfile(hospitals=hospitals, wards=wards)
@@ -79,14 +91,7 @@ def test_profile_uniformity():
     assert p.is_uniform
     q = StrategyProfile(hospitals=("a", "b"), wards=("r1", "r2"))
     assert not q.is_uniform
-    assert q.choice("b") == "r2"
     assert q.as_dict() == {"a": "r1", "b": "r2"}
-
-
-def test_profile_choice_rejects_unknown_hospital():
-    p = StrategyProfile(hospitals=("a", "b"), wards=("r1", "r2"))
-    with pytest.raises(InvalidInstanceError, match="^unknown hospital id 'z'$"):
-        p.choice("z")
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +201,55 @@ def test_tensor_rejects_ids_not_in_a_list(hospitals, strategies, named):
         )
 
 
+# read as numbers the only equilibrium is ('x', 'x'); compared as text,
+# "2" > "10" and it would be ('x', 'y')
+AS_TEXT = {
+    ("x", "x"): ("9", "10"),
+    ("x", "y"): ("10", "2"),
+    ("y", "x"): ("1", "1"),
+    ("y", "y"): ("1", "1"),
+}
+ONE_HOSPITAL = {"hospitals": ("a",), "strategies": ("x", "y")}
+
+
+@pytest.mark.parametrize(
+    "hospitals, strategies, payoffs, message",
+    [
+        (("a", "b"), ("x", "y"), AS_TEXT,
+         r"payoff tensor payoffs\[\('x', 'x'\)\]\[0\]: expected an int or a Fraction, got str"),
+        *[
+            (*ONE_HOSPITAL.values(), {("x",): (value,), ("y",): (1,)},
+             rf"payoff tensor payoffs\[\('x',\)\]\[0\]: expected an int or a Fraction, got {kind}")
+            for value, kind in [(1.5, "float"), (True, "bool"), (None, "NoneType")]
+        ],
+        (*ONE_HOSPITAL.values(), {("x",): (10**4300,), ("y",): (1,)},
+         r"payoff tensor payoffs\[\('x',\)\]\[0\]: more than 4300 digits"),
+        (*ONE_HOSPITAL.values(), [(("x",), (1,)), (("y",), (1,))],
+         "payoff tensor payoffs: expected a dict, got list"),
+        (*ONE_HOSPITAL.values(), {5: (1,), ("y",): (1,)},
+         "payoff tensor key 5: expected a list, got int"),
+        (*ONE_HOSPITAL.values(), {("x",): 5, ("y",): (1,)},
+         r"payoff tensor payoffs\[\('x',\)\]: expected a list, got int"),
+        (("a",), ("x", ["y"]), {("x",): (1,)},
+         "payoff tensor strategies: ids must be non-empty strings"),
+        (("",), ("x", "y"), {("x",): (1,), ("y",): (1,)},
+         "payoff tensor hospitals: ids must be non-empty strings"),
+    ],
+    ids=["text", "float", "bool", "none", "too-long", "list-table", "int-key", "int-row",
+         "list-strategy", "empty-hospital"],
+)
+def test_tensor_takes_ids_and_exact_payoffs_only(hospitals, strategies, payoffs, message):
+    with pytest.raises(InvalidInstanceError, match=f"^{message}"):
+        PayoffTensor(hospitals=hospitals, strategies=strategies, payoffs=payoffs)
+
+
+def test_tensor_compares_payoffs_as_numbers():
+    numbers = {key: tuple(map(int, values)) for key, values in AS_TEXT.items()}
+    tensor = PayoffTensor(hospitals=("a", "b"), strategies=("x", "y"), payoffs=numbers)
+    assert tensor.payoffs is numbers  # checked in place, not copied
+    assert [p.wards for p in enumerate_pure_nash(tensor).equilibria] == [("x", "x")]
+
+
 def test_tensor_validates_entry_count():
     with pytest.raises(InvalidInstanceError, match="tensor"):
         PayoffTensor(
@@ -208,7 +262,7 @@ def test_tensor_validates_entry_count():
 def test_tensor_validates_arity():
     keys = [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
     payoffs = {k: (Fraction(1),) for k in keys}
-    with pytest.raises(InvalidInstanceError, match="arity"):
+    with pytest.raises(InvalidInstanceError, match="expected 2 entries, got 1"):
         PayoffTensor(hospitals=("a", "b"), strategies=("x", "y"), payoffs=payoffs)
 
 
@@ -307,6 +361,48 @@ def test_verdict_flags_violations():
         assumption1_holds=True, has_uniform_ne=False, has_diversified_ne=False
     )
     assert not missing.implication_holds
+
+
+def small_denominator_instance(seed):
+    """Up to 4x3 game with populations over a denominator from 2 to 12 and
+    group sizes from {0, 1, 2, 3, 4, 6, 12}: ties between splits abound."""
+    rng = random.Random(seed)
+    den = rng.randint(2, 12)
+    nq = rng.randint(1, min(4, den))
+    cuts = sorted(rng.sample(range(1, den), nq - 1))
+    weights = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+    sizes = [rng.choice((0, 1, 2, 3, 4, 6, 12)) for _ in range(rng.randint(1, 3))]
+    return make_instance(sizes, [Fraction(w, den) for w in weights])
+
+
+LOCAL_GAME_SAMPLES = {
+    "generated": [
+        generate_scenario(seed, dims, profile)
+        for seed in range(3)
+        for dims in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
+        for profile in PROFILES
+    ],
+    "tie-heavy": [tie_heavy_instance(seed) for seed in range(400)],
+    "small-denominators": [small_denominator_instance(seed) for seed in range(700)],
+}
+
+
+@pytest.mark.parametrize("family", LOCAL_GAME_SAMPLES)
+def test_closed_form_and_lpt_match_the_enumeration(family):
+    # the local game is load balancing on related machines: ward r has speed
+    # G_r and hospital q weight p_q, so the verdict has a closed form and LPT
+    # reaches an equilibrium (see conftest)
+    both = 0
+    for inst in LOCAL_GAME_SAMPLES[family]:
+        groups, shares = inst.group_sizes, inst.population
+        eq = enumerate_pure_nash(build_payoff_tensor(inst))
+        verdict = diversification_verdict(inst, eq)
+        got = (verdict.has_uniform_ne, verdict.has_diversified_ne)
+        assert closed_form_verdict(groups, shares) == got, (groups, shares)
+        lpt = tuple(inst.wards[r] for r in lpt_choice(groups, shares))
+        assert lpt in {p.wards for p in eq.equilibria}, (groups, shares)
+        both += all(got)
+    assert both or family == "generated"  # the sample reaches the hard case
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -198,6 +199,7 @@ def test_split_zero_total():
         (10, (float("-inf"), 0.5)),
         (10, ("1/2", "1/2")),
         (10, (None, Fraction(1))),
+        (10, None),
     ],
 )
 def test_split_rejects_what_it_cannot_split_exactly(total, shares):
@@ -703,6 +705,18 @@ def test_generate_rejects_bad_dims():
         generate_scenario(0, (0, 2))
     with pytest.raises(InvalidInstanceError, match="dims"):
         generate_scenario(0, (2, 0))
+    # the count rule group sizes and splits share
+    for dims, message in [
+        (5, "dims: expected a list, got int"),
+        ((2, 3, 4), "dims: expected 2 entries, got 3"),
+        (("2", "3"), "dims[0]: must be a non-negative integer, got '2'"),
+        ((2.0, 3), "dims[0]: must be a non-negative integer, got 2.0"),
+        ((True, True), "dims[0]: must be a non-negative integer, got True"),
+        ((2, -1), "dims[1]: must be a non-negative integer, got -1"),
+        ((-(10**5000), 1), "dims[0]: must be a non-negative integer, got -10**4300 or less"),
+    ]:
+        with pytest.raises(InvalidInstanceError, match=rf"^{re.escape(message)}$"):
+            generate_scenario(0, dims)
 
 
 def test_generate_guards_size_before_drawing():
