@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -105,15 +105,17 @@ class GreedyStep:
 class PlanSolution:
     """An excellence set with its optimal assignment and cost breakdown.
 
-    assignment maps every demand cell to its destination, (hospital id, ward
-    id) or OUTSIDE. The excellence cost never exceeds the budget. trace is
-    non-empty only for greedy solutions.
+    assignment maps every demand cell, in demand_cells() order, to its
+    destination, (hospital id, ward id) or OUTSIDE. The excellence cost never
+    exceeds the budget. trace is non-empty only for greedy solutions.
+    instance is the scenario the plan was evaluated on.
     """
 
     excellence: ExcellenceSet
     assignment: dict[DemandCell, tuple[str, str] | str]
     excel_cost_part: Fraction
     patient_cost_part: Fraction
+    instance: ScenarioInstance = field(repr=False, compare=False)
     trace: tuple[GreedyStep, ...] = ()
 
     @property
@@ -194,6 +196,7 @@ def evaluate_Z(excellence: ExcellenceSet, inst: ScenarioInstance) -> PlanSolutio
         assignment=dict(zip(inst.demand_cells(), flat)),
         excel_cost_part=excel_part,
         patient_cost_part=patient_part,
+        instance=inst,
     )
 
 
@@ -431,7 +434,15 @@ class StaircaseVerdict:
 
 def check_staircase(solution: PlanSolution, orders: TotalOrders) -> StaircaseVerdict:
     """Verify that whenever (q, r) is excellent, so is every (q', r') with q'
-    at least as convenient and r' at least as large-ordered."""
+    at least as convenient and r' at least as large-ordered. The orders must
+    rank each hospital and each ward of the solution's instance once."""
+    inst = solution.instance
+    for name, ids in (("hospital_order", inst.hospitals), ("ward_order", inst.wards)):
+        ranked = _id_list(getattr(orders, name), f"staircase {name}", len(ids))
+        if set(ranked) != set(ids):
+            raise InvalidInstanceError(
+                f"staircase {name}: expected each of {ids!r} once, got {ranked!r}"
+            )
     members = solution.excellence.members
     hrank = {q: i for i, q in enumerate(orders.hospital_order)}
     wrank = {r: i for i, r in enumerate(orders.ward_order)}
@@ -534,21 +545,27 @@ def export_ilp(
     return "\n".join(lines)
 
 
-def plan_to_dict(
-    inst: ScenarioInstance,
-    solution: PlanSolution,
-    staircase: StaircaseVerdict | None = None,
-) -> dict:
+def plan_to_dict(solution: PlanSolution, staircase: StaircaseVerdict | None = None) -> dict:
     """JSON-ready planning report with rationals as "num/den" strings."""
     doc = {
         "excellence": [
             {"hospital": q, "ward": r}
-            for q, r in solution.excellence.sorted_members(inst)
+            for q, r in solution.excellence.sorted_members(solution.instance)
         ],
         "z_value": format_rational(solution.z_value),
         "excel_cost_part": format_rational(solution.excel_cost_part),
         "patient_cost_part": format_rational(solution.patient_cost_part),
-        "assignment": [],
+        "assignment": [
+            {
+                "district": cell.district,
+                "ward": cell.ward,
+                "count": cell.count,
+                "destination": OUTSIDE
+                if dest == OUTSIDE
+                else {"hospital": dest[0], "ward": dest[1]},
+            }
+            for cell, dest in solution.assignment.items()
+        ],
         "trace": [
             {
                 "added": {"hospital": step.added[0], "ward": step.added[1]},
@@ -558,18 +575,6 @@ def plan_to_dict(
             for step in solution.trace
         ],
     }
-    for cell in inst.demand_cells():
-        dest = solution.assignment[cell]
-        doc["assignment"].append(
-            {
-                "district": cell.district,
-                "ward": cell.ward,
-                "count": cell.count,
-                "destination": OUTSIDE
-                if dest == OUTSIDE
-                else {"hospital": dest[0], "ward": dest[1]},
-            }
-        )
     if staircase is not None:
         doc["staircase"] = {
             "holds": staircase.holds,

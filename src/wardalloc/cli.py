@@ -141,10 +141,9 @@ def _check_text(report: dict) -> str:
 
 
 def _local_report(inst) -> dict:
-    tensor = local_game.build_payoff_tensor(inst)
-    eq = local_game.enumerate_pure_nash(tensor)
+    eq = local_game.enumerate_pure_nash(local_game.build_payoff_tensor(inst))
     verdict = local_game.diversification_verdict(inst, eq)
-    doc = local_game.equilibrium_report_to_dict(tensor, eq, verdict)
+    doc = local_game.equilibrium_report_to_dict(eq, verdict)
     return {"command": "local", **doc}
 
 
@@ -204,12 +203,12 @@ def _greedy_report(inst) -> dict:
         staircase = central_plan.check_staircase(solution, central_plan.total_orders(inst))
     except AssumptionViolationError:
         staircase = None
-    doc = central_plan.plan_to_dict(inst, solution, staircase)
+    doc = central_plan.plan_to_dict(solution, staircase)
     return {"command": "central-greedy", **doc}
 
 
 def _exact_report(inst) -> dict:
-    doc = central_plan.plan_to_dict(inst, central_plan.exact_solve(inst))
+    doc = central_plan.plan_to_dict(central_plan.exact_solve(inst))
     return {"command": "central-exact", **doc}
 
 

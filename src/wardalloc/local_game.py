@@ -5,7 +5,7 @@ predicted outcomes are the pure Nash equilibria of the resulting game."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InstanceTooLargeError, InvalidInstanceError
@@ -125,9 +125,11 @@ def build_payoff_tensor(inst: ScenarioInstance) -> PayoffTensor:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Pure Nash equilibria of a payoff tensor, split by shape."""
+    """Pure Nash equilibria of a payoff tensor, split by shape; tensor is the
+    game they were found in."""
 
     equilibria: tuple[StrategyProfile, ...]
+    tensor: PayoffTensor = field(repr=False, compare=False)
 
     @property
     def uniform_equilibria(self) -> tuple[StrategyProfile, ...]:
@@ -155,7 +157,7 @@ def enumerate_pure_nash(tensor: PayoffTensor) -> EquilibriumReport:
             if alt != key[qi]
         )
     )
-    return EquilibriumReport(tuple(equilibria))
+    return EquilibriumReport(tuple(equilibria), tensor)
 
 
 @dataclass(frozen=True)
@@ -201,11 +203,10 @@ def _profile_entry(tensor: PayoffTensor, key: tuple[str, ...]) -> dict:
     }
 
 
-def equilibrium_report_to_dict(
-    tensor: PayoffTensor, eq: EquilibriumReport, verdict: DiversificationVerdict
-) -> dict:
+def equilibrium_report_to_dict(eq: EquilibriumReport, verdict: DiversificationVerdict) -> dict:
     """JSON-ready local-game report: profiles as hospital->ward mappings and
     payoffs as "num/den" strings."""
+    tensor = eq.tensor
     doc = {
         "hospitals": list(tensor.hospitals),
         "strategies": list(tensor.strategies),

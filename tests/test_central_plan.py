@@ -621,7 +621,7 @@ def test_report_carries_the_staircase_violation():
     inst = stair_instance()
     orders = TotalOrders(ward_order=("r1", "r2"), hospital_order=("q1", "q2"))
     sol = staircase_fixture_solution(inst, [("q2", "r1")])
-    doc = plan_to_dict(inst, sol, check_staircase(sol, orders))
+    doc = plan_to_dict(sol, check_staircase(sol, orders))
     assert json.loads(json.dumps(doc["staircase"])) == {
         "holds": False,
         "violation": [["q2", "r1"], ["q1", "r1"]],
@@ -638,6 +638,20 @@ def test_staircase_respects_given_orders():
     sol = staircase_fixture_solution(inst, [("q2", "r1")])
     flipped = TotalOrders(ward_order=("r1", "r2"), hospital_order=("q2", "q1"))
     assert check_staircase(sol, flipped).holds
+
+
+def test_staircase_refuses_orders_of_another_instance():
+    a = generate_scenario(1, (3, 3), "assumption4&5-satisfying")
+    b = generate_scenario(2, (2, 2), "assumption4&5-satisfying")
+    with pytest.raises(InvalidInstanceError, match="staircase hospital_order"):
+        check_staircase(greedy_solve(a), total_orders(b))
+    sol = staircase_fixture_solution(stair_instance(), [("q1", "r1")])
+    twice = TotalOrders(ward_order=("r1", "r1"), hospital_order=("q1", "q2"))
+    with pytest.raises(InvalidInstanceError, match="staircase ward_order"):
+        check_staircase(sol, twice)
+    listed = TotalOrders(ward_order=(["r1"], ["r2"]), hospital_order=("q1", "q2"))
+    with pytest.raises(InvalidInstanceError, match="staircase ward_order"):
+        check_staircase(sol, listed)
 
 
 def test_greedy_staircase_on_generated_instances():
@@ -860,7 +874,7 @@ def test_plan_to_dict_shape():
     inst = generate_scenario(13, (2, 2), "assumption4&5-satisfying")
     sol = greedy_solve(inst)
     orders = total_orders(inst)
-    doc = plan_to_dict(inst, sol, check_staircase(sol, orders))
+    doc = plan_to_dict(sol, check_staircase(sol, orders))
     assert set(doc) == {
         "excellence",
         "z_value",
@@ -883,6 +897,6 @@ def test_plan_to_dict_shape():
 def test_plan_to_dict_without_staircase():
     inst = generate_scenario(13, (2, 2))
     sol = exact_solve(inst)
-    doc = plan_to_dict(inst, sol)
+    doc = plan_to_dict(sol)
     assert "staircase" not in doc
     assert doc["trace"] == []

@@ -77,7 +77,7 @@ def use_tensor(hospitals, strategies, payoffs):
     tensor = PayoffTensor(hospitals=hospitals, strategies=strategies, payoffs=payoffs)
     report = enumerate_pure_nash(tensor)
     verdict = DiversificationVerdict(False, False, False)
-    return equilibrium_report_to_dict(tensor, report, verdict)
+    return equilibrium_report_to_dict(report, verdict)
 
 
 def use_profile(hospitals, wards):

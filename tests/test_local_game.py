@@ -363,16 +363,17 @@ def test_verdict_flags_violations():
     assert not missing.implication_holds
 
 
-def small_denominator_instance(seed):
-    """Up to 4x3 game with populations over a denominator from 2 to 12 and
-    group sizes from {0, 1, 2, 3, 4, 6, 12}: ties between splits abound."""
+def small_denominator_instance(seed, sizes=(0, 1, 2, 3, 4, 6, 12), wards=None):
+    """Up to 4x3 game (or 4 hospitals and the given number of wards) with
+    populations over a denominator from 2 to 12 and group sizes drawn from
+    sizes: ties between splits abound."""
     rng = random.Random(seed)
     den = rng.randint(2, 12)
     nq = rng.randint(1, min(4, den))
     cuts = sorted(rng.sample(range(1, den), nq - 1))
     weights = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
-    sizes = [rng.choice((0, 1, 2, 3, 4, 6, 12)) for _ in range(rng.randint(1, 3))]
-    return make_instance(sizes, [Fraction(w, den) for w in weights])
+    groups = [rng.choice(sizes) for _ in range(wards or rng.randint(1, 3))]
+    return make_instance(groups, [Fraction(w, den) for w in weights])
 
 
 LOCAL_GAME_SAMPLES = {
@@ -405,6 +406,29 @@ def test_closed_form_and_lpt_match_the_enumeration(family):
     assert both or family == "generated"  # the sample reaches the hard case
 
 
+def test_two_ward_prediction_holds_at_any_number_of_hospitals():
+    # with wards r and s, assumption 1 gives G_s > G_r * min p, so the
+    # smallest hospital leaves "everyone on r" for the empty ward s; a pure
+    # equilibrium exists (related machines), so it is diversified
+    generated = [
+        generate_scenario(seed, (nq, 2), "assumption1-satisfying")
+        for nq in range(2, 7)
+        for seed in range(40)
+    ]
+    tied = [
+        small_denominator_instance(seed, (0, 1, 2, 3, 4, 6, 12, 100), wards=2)
+        for seed in range(1000)
+    ]
+    held = 0
+    for inst in generated + tied:
+        verdict = diversification_verdict(inst)
+        if verdict.assumption1_holds:
+            held += 1
+            got = (verdict.has_uniform_ne, verdict.has_diversified_ne)
+            assert got == (False, True), (inst.group_sizes, inst.population)
+    assert held > len(generated)  # every generated market, and tie-heavy ones
+
+
 # ---------------------------------------------------------------------------
 # report document
 
@@ -413,7 +437,7 @@ def test_report_dict_shape(comparable_market):
     tensor = build_payoff_tensor(comparable_market)
     eq = enumerate_pure_nash(tensor)
     verdict = diversification_verdict(comparable_market)
-    doc = equilibrium_report_to_dict(tensor, eq, verdict)
+    doc = equilibrium_report_to_dict(eq, verdict)
     assert doc["hospitals"] == ["q1", "q2"]
     assert doc["strategies"] == ["r1", "r2"]
     assert doc["equilibria"] == [
@@ -434,7 +458,6 @@ def test_report_dict_omits_large_table():
     tensor = build_payoff_tensor(inst)
     eq = enumerate_pure_nash(tensor)
     doc = equilibrium_report_to_dict(
-        tensor,
         eq,
         DiversificationVerdict(
             assumption1_holds=False, has_uniform_ne=False, has_diversified_ne=True
