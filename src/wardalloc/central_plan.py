@@ -545,8 +545,9 @@ def export_ilp(
     return "\n".join(lines)
 
 
-def plan_to_dict(solution: PlanSolution, staircase: StaircaseVerdict | None = None) -> dict:
-    """JSON-ready planning report with rationals as "num/den" strings."""
+def plan_to_dict(solution: PlanSolution, orders: TotalOrders | None = None) -> dict:
+    """JSON-ready planning report with rationals as "num/den" strings; given
+    the convenience orders, it carries the plan's own staircase verdict."""
     doc = {
         "excellence": [
             {"hospital": q, "ward": r}
@@ -575,7 +576,8 @@ def plan_to_dict(solution: PlanSolution, staircase: StaircaseVerdict | None = No
             for step in solution.trace
         ],
     }
-    if staircase is not None:
+    if orders is not None:
+        staircase = check_staircase(solution, orders)
         doc["staircase"] = {
             "holds": staircase.holds,
             "violation": None

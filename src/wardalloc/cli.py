@@ -142,8 +142,7 @@ def _check_text(report: dict) -> str:
 
 def _local_report(inst) -> dict:
     eq = local_game.enumerate_pure_nash(local_game.build_payoff_tensor(inst))
-    verdict = local_game.diversification_verdict(inst, eq)
-    doc = local_game.equilibrium_report_to_dict(eq, verdict)
+    doc = local_game.equilibrium_report_to_dict(eq, local_game.diversification_verdict(inst))
     return {"command": "local", **doc}
 
 
@@ -200,10 +199,10 @@ def _greedy_report(inst) -> dict:
     """Greedy plan, with its staircase verdict when the orders exist."""
     solution = central_plan.greedy_solve(inst)
     try:
-        staircase = central_plan.check_staircase(solution, central_plan.total_orders(inst))
+        orders = central_plan.total_orders(inst)
     except AssumptionViolationError:
-        staircase = None
-    doc = central_plan.plan_to_dict(solution, staircase)
+        orders = None
+    doc = central_plan.plan_to_dict(solution, orders)
     return {"command": "central-greedy", **doc}
 
 

@@ -178,19 +178,38 @@ class DiversificationVerdict:
         return not self.has_uniform_ne and self.has_diversified_ne
 
 
-def diversification_verdict(
-    inst: ScenarioInstance, eq: EquilibriumReport | None = None
-) -> DiversificationVerdict:
-    """Verdict for the instance; eq, when given, is its equilibrium report
-    and is not computed again."""
-    report = check_assumption1(inst)
-    if eq is None:
-        eq = enumerate_pure_nash(build_payoff_tensor(inst))
-    return DiversificationVerdict(
-        assumption1_holds=report.holds,
-        has_uniform_ne=bool(eq.uniform_equilibria),
-        has_diversified_ne=bool(eq.diversified_equilibria),
+def _stable(groups, shares, choice) -> bool:
+    """No hospital of the joint choice (a ward index per hospital) gains
+    strictly by moving: q on ward a, where the shares on a sum to W_a, stays
+    iff G_a * (W_b + p_q) >= G_b * W_a for every other ward b."""
+    load = [0] * len(groups)
+    for p, a in zip(shares, choice):
+        load[a] += p
+    return all(
+        groups[a] * (load[b] + p) >= groups[b] * load[a]
+        for p, a in zip(shares, choice)
+        for b in range(len(groups))
+        if b != a
     )
+
+
+def diversification_verdict(inst: ScenarioInstance) -> DiversificationVerdict:
+    """Verdict for the instance in closed form, without the payoff tensor: the
+    game is load balancing on related machines (ward speed G_r, hospital
+    weight p_q), so a pure equilibrium exists. "Everyone on r" is one iff r
+    passes: G_r * min p >= every other G_s. With a passing r, a diversified
+    equilibrium exists iff one with a single hospital q off r, on s, does."""
+    groups, shares = inst.group_sizes, inst.population
+    nq, nr, smallest = len(shares), len(groups), min(shares)
+    passing = [
+        r for r in range(nr)
+        if all(groups[r] * smallest >= g for s, g in enumerate(groups) if s != r)
+    ]
+    diversified = nq > 1 and (not passing or any(
+        _stable(groups, shares, [s if i == q else r for i in range(nq)])
+        for r in passing for q in range(nq) for s in range(nr) if s != r
+    ))
+    return DiversificationVerdict(check_assumption1(inst).holds, bool(passing), diversified)
 
 
 def _profile_entry(tensor: PayoffTensor, key: tuple[str, ...]) -> dict:

@@ -5,10 +5,10 @@ checked against full enumeration and against Fraction quotas, assumptions 1
 and 4 against their Fraction forms, plan values against a per-cell brute
 force, greedy plans and convenience orders against step-by-step searches
 valued by that brute force, the loader's nested rationals against a walk
-that parses every value on its own, the local game's equilibria against the
-closed form and LPT of load balancing on related machines, and the LP export
-against a tiny standalone CPLEX-LP parser plus an external MILP solver when
-one is installed.
+that parses every value on its own, the local game's equilibria against
+LPT, the greedy order of load balancing on related machines, and the LP
+export against a tiny standalone CPLEX-LP parser plus an external MILP
+solver when one is installed.
 """
 
 import dataclasses
@@ -195,48 +195,6 @@ def reference_rationals(values, name, shape):
             raise InvalidInstanceError(f"{name}[{i}]: must be non-negative, got {x}")
         row.append(x)
     return tuple(row)
-
-
-def _stable(groups, shares, choice):
-    """No hospital of the joint choice (a ward index per hospital) gains
-    strictly by moving: hospital q on ward a, where the shares on a sum to
-    W_a, earns G_a * p_q / W_a, and would earn G_b * p_q / (W_b + p_q) on b,
-    so it stays iff G_a * (W_b + p_q) >= G_b * W_a for every b != a."""
-    load = [Fraction(0)] * len(groups)
-    for p, a in zip(shares, choice):
-        load[a] += p
-    return all(
-        groups[a] * (load[b] + p) >= groups[b] * load[a]
-        for p, a in zip(shares, choice)
-        for b in range(len(groups))
-        if b != a
-    )
-
-
-def closed_form_verdict(groups, shares):
-    """(has a uniform equilibrium, has a diversified one) of the local game,
-    from the load-balancing closed form rather than an enumeration. Ward r
-    passes when G_r * min p >= max over s != r of G_s; all on r is then an
-    equilibrium, and a diversified one, if any, has exactly one hospital off
-    a passing ward."""
-    nq, nr = len(shares), len(groups)
-    if nq == 1:  # every profile is uniform
-        return True, False
-    if not any(groups):  # every profile is stable
-        return True, nr > 1
-    passing = [
-        r for r in range(nr)
-        if groups[r] * min(shares) >= max((g for s, g in enumerate(groups) if s != r), default=0)
-    ]
-    if not passing:
-        return False, True
-    return True, any(
-        _stable(groups, shares, [s if i == q else r for i in range(nq)])
-        for r in passing
-        for q in range(nq)
-        for s in range(nr)
-        if s != r
-    )
 
 
 def lpt_choice(groups, shares):

@@ -621,7 +621,7 @@ def test_report_carries_the_staircase_violation():
     inst = stair_instance()
     orders = TotalOrders(ward_order=("r1", "r2"), hospital_order=("q1", "q2"))
     sol = staircase_fixture_solution(inst, [("q2", "r1")])
-    doc = plan_to_dict(sol, check_staircase(sol, orders))
+    doc = plan_to_dict(sol, orders)
     assert json.loads(json.dumps(doc["staircase"])) == {
         "holds": False,
         "violation": [["q2", "r1"], ["q1", "r1"]],
@@ -874,7 +874,7 @@ def test_plan_to_dict_shape():
     inst = generate_scenario(13, (2, 2), "assumption4&5-satisfying")
     sol = greedy_solve(inst)
     orders = total_orders(inst)
-    doc = plan_to_dict(sol, check_staircase(sol, orders))
+    doc = plan_to_dict(sol, orders)
     assert set(doc) == {
         "excellence",
         "z_value",
@@ -892,6 +892,17 @@ def test_plan_to_dict_shape():
     assert doc["staircase"]["holds"] is True
     assert doc["staircase"]["hospital_order"] == list(orders.hospital_order)
     assert len(doc["trace"]) == len(sol.excellence.members)
+
+
+def test_plan_report_judges_its_own_plan():
+    # the report checks the plan it is given: the exact plan of this market
+    # is no staircase, greedy's is, under the same orders
+    inst = generate_scenario(8, (4, 4), "assumption4&5-satisfying")
+    orders = total_orders(inst)
+    exact = plan_to_dict(exact_solve(inst), orders)["staircase"]
+    assert exact["holds"] is False
+    assert exact["violation"] == [["q3", "r2"], ["q3", "r4"]]
+    assert plan_to_dict(greedy_solve(inst), orders)["staircase"]["holds"] is True
 
 
 def test_plan_to_dict_without_staircase():
