@@ -424,7 +424,6 @@ class StaircaseVerdict:
     """
 
     violation: tuple[tuple[str, str], tuple[str, str]] | None
-    orders: TotalOrders
 
     @property
     def holds(self) -> bool:
@@ -450,8 +449,8 @@ def check_staircase(solution: PlanSolution, orders: TotalOrders) -> StaircaseVer
         for q2 in orders.hospital_order[: hrank[q] + 1]:
             for r2 in orders.ward_order[: wrank[r] + 1]:
                 if (q2, r2) not in members:
-                    return StaircaseVerdict(((q, r), (q2, r2)), orders)
-    return StaircaseVerdict(None, orders)
+                    return StaircaseVerdict(((q, r), (q2, r2)))
+    return StaircaseVerdict(None)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +582,7 @@ def plan_to_dict(solution: PlanSolution, orders: TotalOrders | None = None) -> d
             "violation": None
             if staircase.violation is None
             else [list(staircase.violation[0]), list(staircase.violation[1])],
-            "ward_order": list(staircase.orders.ward_order),
-            "hospital_order": list(staircase.orders.hospital_order),
+            "ward_order": list(orders.ward_order),
+            "hospital_order": list(orders.hospital_order),
         }
     return doc
