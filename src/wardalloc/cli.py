@@ -141,9 +141,7 @@ def _check_text(report: dict) -> str:
 
 
 def _local_report(inst) -> dict:
-    eq = local_game.enumerate_pure_nash(local_game.build_payoff_tensor(inst))
-    doc = local_game.equilibrium_report_to_dict(eq, local_game.diversification_verdict(inst))
-    return {"command": "local", **doc}
+    return {"command": "local", **local_game.equilibrium_report_to_dict(inst)}
 
 
 def _bimatrix_text(report: dict) -> str:

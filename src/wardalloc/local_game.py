@@ -5,14 +5,15 @@ predicted outcomes are the pure Nash equilibria of the resulting game."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InstanceTooLargeError, InvalidInstanceError
 from .scenario import ScenarioInstance, _id_list, _payoff_table, check_assumption1, format_rational
 
-# Most payoff entries (|R| ** |Q| profiles x |Q| payoffs each) the full payoff
-# tensor may hold: memory and time grow with the entries, not the profiles.
+# Most payoff entries (|R| ** |Q| profiles x |Q| payoffs each) a search may
+# cover: search time and tensor memory grow with the entries, not the profiles.
 PROFILE_ENUMERATION_CAP = 6 * 10**6
 
 # Full payoff tables are embedded in JSON reports only up to this many profiles.
@@ -105,8 +106,8 @@ def payoff(inst: ScenarioInstance, profile: StrategyProfile) -> tuple[Fraction, 
     return _split(inst, tuple(inst.ward_index(w) for w in profile.wards))
 
 
-def build_payoff_tensor(inst: ScenarioInstance) -> PayoffTensor:
-    """Enumerate all |R| ** |Q| joint choices and their payoffs."""
+def _choices(inst: ScenarioInstance):
+    """Every joint choice as ward indices, in table order, under the guard."""
     count = inst.num_wards**inst.num_hospitals
     entries = count * inst.num_hospitals
     if entries > PROFILE_ENUMERATION_CAP:
@@ -115,21 +116,23 @@ def build_payoff_tensor(inst: ScenarioInstance) -> PayoffTensor:
             f"({entries} payoff entries) exceed the enumeration guard of "
             f"{PROFILE_ENUMERATION_CAP}"
         )
+    return itertools.product(range(inst.num_wards), repeat=inst.num_hospitals)
+
+
+def build_payoff_tensor(inst: ScenarioInstance) -> PayoffTensor:
+    """Enumerate all |R| ** |Q| joint choices and their payoffs."""
     ward_ids = inst.wards
     payoffs = {
-        tuple(ward_ids[ri] for ri in combo): _split(inst, combo)
-        for combo in itertools.product(range(inst.num_wards), repeat=inst.num_hospitals)
+        tuple(ward_ids[ri] for ri in combo): _split(inst, combo) for combo in _choices(inst)
     }
     return PayoffTensor(hospitals=inst.hospitals, strategies=ward_ids, payoffs=payoffs)
 
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Pure Nash equilibria of a payoff tensor, split by shape; tensor is the
-    game they were found in."""
+    """Pure Nash equilibria of a payoff tensor, split by shape."""
 
     equilibria: tuple[StrategyProfile, ...]
-    tensor: PayoffTensor = field(repr=False, compare=False)
 
     @property
     def uniform_equilibria(self) -> tuple[StrategyProfile, ...]:
@@ -157,7 +160,7 @@ def enumerate_pure_nash(tensor: PayoffTensor) -> EquilibriumReport:
             if alt != key[qi]
         )
     )
-    return EquilibriumReport(tuple(equilibria), tensor)
+    return EquilibriumReport(tuple(equilibria))
 
 
 @dataclass(frozen=True)
@@ -178,16 +181,22 @@ class DiversificationVerdict:
         return not self.has_uniform_ne and self.has_diversified_ne
 
 
-def _stable(groups, shares, choice) -> bool:
+def _weights(inst: ScenarioInstance) -> list[int]:
+    """Population shares as integers in the same ratios (over their common denominator)."""
+    den = math.lcm(*(p.denominator for p in inst.population))
+    return [p.numerator * (den // p.denominator) for p in inst.population]
+
+
+def _stable(groups, weights, choice) -> bool:
     """No hospital of the joint choice (a ward index per hospital) gains
-    strictly by moving: q on ward a, where the shares on a sum to W_a, stays
+    strictly by moving: q on ward a, where the weights on a sum to W_a, stays
     iff G_a * (W_b + p_q) >= G_b * W_a for every other ward b."""
     load = [0] * len(groups)
-    for p, a in zip(shares, choice):
+    for p, a in zip(weights, choice):
         load[a] += p
     return all(
         groups[a] * (load[b] + p) >= groups[b] * load[a]
-        for p, a in zip(shares, choice)
+        for p, a in zip(weights, choice)
         for b in range(len(groups))
         if b != a
     )
@@ -196,42 +205,42 @@ def _stable(groups, shares, choice) -> bool:
 def diversification_verdict(inst: ScenarioInstance) -> DiversificationVerdict:
     """Verdict for the instance in closed form, without the payoff tensor: the
     game is load balancing on related machines (ward speed G_r, hospital
-    weight p_q), so a pure equilibrium exists. "Everyone on r" is one iff r
-    passes: G_r * min p >= every other G_s. With a passing r, a diversified
-    equilibrium exists iff one with a single hospital q off r, on s, does."""
-    groups, shares = inst.group_sizes, inst.population
-    nq, nr, smallest = len(shares), len(groups), min(shares)
-    passing = [
-        r for r in range(nr)
-        if all(groups[r] * smallest >= g for s, g in enumerate(groups) if s != r)
-    ]
+    weight p_q), so a pure equilibrium exists. Ward r passes when "everyone
+    on r" is stable. With a passing r, a diversified equilibrium exists iff
+    one with a single hospital q off r, on s, does."""
+    groups, weights = inst.group_sizes, _weights(inst)
+    nq, nr = len(weights), len(groups)
+    passing = [r for r in range(nr) if _stable(groups, weights, [r] * nq)]
     diversified = nq > 1 and (not passing or any(
-        _stable(groups, shares, [s if i == q else r for i in range(nq)])
+        _stable(groups, weights, [s if i == q else r for i in range(nq)])
         for r in passing for q in range(nq) for s in range(nr) if s != r
     ))
     return DiversificationVerdict(check_assumption1(inst).holds, bool(passing), diversified)
 
 
-def _profile_entry(tensor: PayoffTensor, key: tuple[str, ...]) -> dict:
-    values = tensor.payoffs[key]
-    return {
-        "profile": dict(zip(tensor.hospitals, key)),
-        "payoffs": {
-            h: format_rational(v) for h, v in zip(tensor.hospitals, values)
-        },
-    }
+def equilibrium_report_to_dict(inst: ScenarioInstance) -> dict:
+    """JSON-ready local-game report: the instance's pure equilibria in table
+    order, found by the verdict's stability rule with no payoff tensor;
+    profiles as hospital->ward mappings and payoffs as "num/den" strings."""
+    hospitals, wards, weights = inst.hospitals, inst.wards, _weights(inst)
 
+    def profile(choice):
+        return {h: wards[r] for h, r in zip(hospitals, choice)}
 
-def equilibrium_report_to_dict(eq: EquilibriumReport, verdict: DiversificationVerdict) -> dict:
-    """JSON-ready local-game report: profiles as hospital->ward mappings and
-    payoffs as "num/den" strings."""
-    tensor = eq.tensor
+    def entry(choice):
+        return {
+            "profile": profile(choice),
+            "payoffs": {h: format_rational(v) for h, v in zip(hospitals, _split(inst, choice))},
+        }
+
+    equilibria = [c for c in _choices(inst) if _stable(inst.group_sizes, weights, c)]
+    verdict = diversification_verdict(inst)
     doc = {
-        "hospitals": list(tensor.hospitals),
-        "strategies": list(tensor.strategies),
-        "equilibria": [_profile_entry(tensor, p.wards) for p in eq.equilibria],
-        "uniform_equilibria": [p.as_dict() for p in eq.uniform_equilibria],
-        "diversified_equilibria": [p.as_dict() for p in eq.diversified_equilibria],
+        "hospitals": list(hospitals),
+        "strategies": list(wards),
+        "equilibria": [entry(c) for c in equilibria],
+        "uniform_equilibria": [profile(c) for c in equilibria if len(set(c)) == 1],
+        "diversified_equilibria": [profile(c) for c in equilibria if len(set(c)) > 1],
         "diversification": {
             "assumption1_holds": verdict.assumption1_holds,
             "has_uniform_equilibrium": verdict.has_uniform_ne,
@@ -239,6 +248,6 @@ def equilibrium_report_to_dict(eq: EquilibriumReport, verdict: DiversificationVe
             "matches_predicted_pattern": verdict.implication_holds,
         },
     }
-    if len(tensor.payoffs) <= REPORT_TABLE_CAP:
-        doc["payoff_table"] = [_profile_entry(tensor, key) for key in tensor.payoffs]
+    if inst.num_wards**inst.num_hospitals <= REPORT_TABLE_CAP:
+        doc["payoff_table"] = [entry(c) for c in _choices(inst)]
     return doc

@@ -310,6 +310,19 @@ def tie_heavy_instance(seed, dims=None):
     )
 
 
+def small_denominator_instance(seed, sizes=(0, 1, 2, 3, 4, 6, 12), wards=None):
+    """Up to 4x3 game (or 4 hospitals and the given number of wards) with
+    populations over a denominator from 2 to 12 and group sizes drawn from
+    sizes: ties between splits abound."""
+    rng = random.Random(seed)
+    den = rng.randint(2, 12)
+    nq = rng.randint(1, min(4, den))
+    cuts = sorted(rng.sample(range(1, den), nq - 1))
+    weights = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+    groups = [rng.choice(sizes) for _ in range(wards or rng.randint(1, 3))]
+    return make_instance(groups, [Fraction(w, den) for w in weights])
+
+
 def unpruned_best(inst):
     """Reference plan optimum: evaluate every admissible subset directly,
     with the same tie-breaks the exact solver documents."""

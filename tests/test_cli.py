@@ -16,8 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wardalloc
-from conftest import make_instance, tie_heavy_instance, with_budget_share
+from conftest import (
+    make_instance,
+    small_denominator_instance,
+    tie_heavy_instance,
+    with_budget_share,
+)
 from wardalloc import (
+    PayoffTensor,
     build_payoff_tensor,
     dumps_scenario,
     enumerate_pure_nash,
@@ -26,6 +32,7 @@ from wardalloc import (
     greedy_solve,
     instance_to_dict,
     load_scenario,
+    local_game,
     save_scenario,
 )
 from wardalloc.cli import COMMANDS, build_parser, main
@@ -228,6 +235,59 @@ def test_local_text_three_hospitals(tmp_path, capsys):
     code, captured = run_cli("local", "--input", str(path), capsys=capsys)
     assert code == 0
     assert "pure equilibria" in captured.out
+
+
+# SHA-256 of the `local` then `compare` reports, JSON then text, of every
+# instance of local_cases(), one after another. 5x5 is past the report's
+# table cap, so those reports carry no payoff table.
+LOCAL_SHA256 = "3cbb5da7ebe68b9e9a92eaafcec311fbd8b65a5db31280ab9a930716321bcaf1"
+
+
+def local_cases():
+    """Generated instances from 4x4 to 5x5, then small-denominator games,
+    where zero groups and equal shares tie the splits."""
+    for profile in wardalloc.PROFILES:
+        for dims in [(4, 4), (3, 5), (5, 4), (5, 5)]:
+            yield from (generate_scenario(seed, dims, profile) for seed in range(2))
+    yield from (small_denominator_instance(seed) for seed in range(60))
+
+
+def test_local_report_bytes_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path = tmp_path / "scenario.json"
+    for inst in local_cases():
+        save_scenario(inst, path)
+        for command in ("local", "compare"):
+            for fmt in ("json", "text"):
+                assert main([command, "--input", str(path), "--format", fmt]) == 0
+                digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == LOCAL_SHA256
+
+
+# SHA-256 of the JSON reports of generate_scenario(0, (6, 6), "assumption1-satisfying")
+LOCAL_6X6_SHA256 = {
+    "local": "7924f1b5d080d213ec7d93b138feac9c97cc1a88c12f10b7cf2a1977cd13d2e6",
+    "compare": "795aa8becc34e5e0c7d1886b7dac38be283c237dc960be785c85bec384cc7723",
+}
+
+
+def test_local_and_compare_never_build_the_game(tmp_path, monkeypatch, capsys):
+    # the report searches the instance's game itself: 46,656 profiles here,
+    # with no payoff tensor built, checked or searched
+    def refuse(*args):
+        raise AssertionError("the report built or searched a payoff tensor")
+
+    monkeypatch.setattr(local_game, "build_payoff_tensor", refuse)
+    monkeypatch.setattr(local_game, "enumerate_pure_nash", refuse)
+    monkeypatch.setattr(PayoffTensor, "__post_init__", refuse)
+    path = tmp_path / "market.json"
+    save_scenario(generate_scenario(0, (6, 6), "assumption1-satisfying"), path)
+    for command, expected in LOCAL_6X6_SHA256.items():
+        code, captured = run_cli(
+            command, "--input", str(path), "--format", "json", capsys=capsys
+        )
+        assert code == 0
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import make_instance
 from wardalloc import (
     PROFILES,
-    DiversificationVerdict,
     ExcellenceSet,
     GenerationError,
     InstanceTooLargeError,
@@ -20,7 +19,6 @@ from wardalloc import (
     PayoffTensor,
     StrategyProfile,
     enumerate_pure_nash,
-    equilibrium_report_to_dict,
     evaluate_Z,
     generate_scenario,
     largest_remainder_split,
@@ -48,6 +46,8 @@ VALUES = st.recursive(
     max_leaves=6,
 )
 ID_LISTS = st.lists(IDS, max_size=2) | st.tuples(IDS, IDS) | VALUES
+DISTINCT_IDS = st.lists(st.sampled_from(["x", "y"]), min_size=1, max_size=2, unique=True)
+NUMBERS = SMALL_INTS | st.just(Fraction(1, 3))
 PAIRS = st.tuples(IDS, IDS) | st.tuples(VALUES, IDS) | VALUES
 
 
@@ -61,13 +61,17 @@ def hashable(value):
 
 @st.composite
 def tensor_args(draw):
-    hospitals, strategies = draw(ID_LISTS), draw(ID_LISTS)
+    # half the draws take distinct valid ids and exact payoffs, so valid
+    # tables are common and the enumeration runs on every test run
+    valid = draw(st.booleans())
+    names, values = (DISTINCT_IDS, NUMBERS) if valid else (ID_LISTS, VALUES)
+    hospitals, strategies = draw(names), draw(names)
     id_lists = all(isinstance(ids, list) and hashable(tuple(ids)) for ids in (hospitals, strategies))
     if id_lists and draw(st.booleans()):
         # a table over every profile of the drawn ids, so the checks after
         # the profile count run too
         keys = itertools.product(strategies, repeat=len(hospitals))
-        payoffs = {key: tuple(draw(VALUES) for _ in hospitals) for key in keys}
+        payoffs = {key: tuple(draw(values) for _ in hospitals) for key in keys}
     else:
         payoffs = draw(st.dictionaries(KEYS, VALUES, max_size=4) | VALUES)
     return hospitals, strategies, payoffs
@@ -75,9 +79,7 @@ def tensor_args(draw):
 
 def use_tensor(hospitals, strategies, payoffs):
     tensor = PayoffTensor(hospitals=hospitals, strategies=strategies, payoffs=payoffs)
-    report = enumerate_pure_nash(tensor)
-    verdict = DiversificationVerdict(False, False, False)
-    return equilibrium_report_to_dict(report, verdict)
+    return enumerate_pure_nash(tensor)
 
 
 def use_profile(hospitals, wards):

@@ -2,7 +2,6 @@
 and the diversification verdict."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from conftest import (
     RECEPTION_TABLE,
     lpt_choice,
     make_instance,
+    small_denominator_instance,
     tie_heavy_instance,
 )
 from wardalloc import (
@@ -363,19 +363,6 @@ def test_verdict_flags_violations():
     assert not missing.implication_holds
 
 
-def small_denominator_instance(seed, sizes=(0, 1, 2, 3, 4, 6, 12), wards=None):
-    """Up to 4x3 game (or 4 hospitals and the given number of wards) with
-    populations over a denominator from 2 to 12 and group sizes drawn from
-    sizes: ties between splits abound."""
-    rng = random.Random(seed)
-    den = rng.randint(2, 12)
-    nq = rng.randint(1, min(4, den))
-    cuts = sorted(rng.sample(range(1, den), nq - 1))
-    weights = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
-    groups = [rng.choice(sizes) for _ in range(wards or rng.randint(1, 3))]
-    return make_instance(groups, [Fraction(w, den) for w in weights])
-
-
 LOCAL_GAME_SAMPLES = {
     "generated": [
         generate_scenario(seed, dims, profile)
@@ -403,11 +390,26 @@ def test_closed_form_and_lpt_match_the_enumeration(family):
     both = 0
     for inst in LOCAL_GAME_SAMPLES[family]:
         groups, shares = inst.group_sizes, inst.population
-        eq = enumerate_pure_nash(build_payoff_tensor(inst))
+        tensor = build_payoff_tensor(inst)
+        eq = enumerate_pure_nash(tensor)
         expected = (bool(eq.uniform_equilibria), bool(eq.diversified_equilibria))
         verdict = diversification_verdict(inst)
         got = (verdict.has_uniform_ne, verdict.has_diversified_ne)
         assert got == expected, (groups, shares)
+        # the report's own search lists the same equilibria, in table order
+        doc = equilibrium_report_to_dict(inst)
+        assert (
+            [
+                (tuple(e["profile"].values()), tuple(map(Fraction, e["payoffs"].values())))
+                for e in doc["equilibria"]
+            ],
+            doc["uniform_equilibria"],
+            doc["diversified_equilibria"],
+        ) == (
+            [(p.wards, tensor.payoffs[p.wards]) for p in eq.equilibria],
+            [p.as_dict() for p in eq.uniform_equilibria],
+            [p.as_dict() for p in eq.diversified_equilibria],
+        ), (groups, shares)
         lpt = tuple(inst.wards[r] for r in lpt_choice(groups, shares))
         assert lpt in {p.wards for p in eq.equilibria}, (groups, shares)
         both += all(got)
@@ -461,6 +463,14 @@ def test_verdict_at_central_sizes_never_builds_the_game(monkeypatch):
     assert (v.assumption1_holds, v.has_uniform_ne, v.has_diversified_ne) == (True, False, True)
 
 
+def test_verdict_with_a_passing_ward_at_central_sizes():
+    # r1 passes (1000 / 30 >= 1), so each of the 30 x 19 profiles with one
+    # hospital moved off r1 is checked; every one of them is unstable
+    inst = make_instance((1000,) + (1,) * 19, (Fraction(1, 30),) * 30)
+    v = diversification_verdict(inst)
+    assert (v.assumption1_holds, v.has_uniform_ne, v.has_diversified_ne) == (True, True, False)
+
+
 # dims -> seeds of the balanced markets scanned below, desk to central sizes
 PREDICTION_SCAN = {
     (2, 2): 100, (5, 2): 100, (30, 2): 10,
@@ -504,10 +514,7 @@ def test_local_prediction_on_balanced_markets_up_to_central_sizes(capsys):
 
 
 def test_report_dict_shape(comparable_market):
-    tensor = build_payoff_tensor(comparable_market)
-    eq = enumerate_pure_nash(tensor)
-    verdict = diversification_verdict(comparable_market)
-    doc = equilibrium_report_to_dict(eq, verdict)
+    doc = equilibrium_report_to_dict(comparable_market)
     assert doc["hospitals"] == ["q1", "q2"]
     assert doc["strategies"] == ["r1", "r2"]
     assert doc["equilibria"] == [
@@ -525,13 +532,6 @@ def test_report_dict_omits_large_table():
         tuple(200 + i for i in range(6)),
         tuple(Fraction(1, 4) for _ in range(4)),
     )
-    tensor = build_payoff_tensor(inst)
-    eq = enumerate_pure_nash(tensor)
-    doc = equilibrium_report_to_dict(
-        eq,
-        DiversificationVerdict(
-            assumption1_holds=False, has_uniform_ne=False, has_diversified_ne=True
-        ),
-    )
+    doc = equilibrium_report_to_dict(inst)
     # 6 ** 4 = 1296 profiles exceed the embedded-table cap
     assert "payoff_table" not in doc
