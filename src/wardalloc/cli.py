@@ -61,18 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_format="text"):
-        p.add_argument(
-            "--output",
-            "-o",
-            help=(
-                "output file; stdout when omitted. A relative path is joined "
-                f"with ${ENV_OUTPUT_DIR} when that is set."
-            ),
-        )
-        p.add_argument("--format", choices=("text", "json"), default=default_format)
-        p.add_argument("--verbose", "-v", action="count", default=0)
-
     for command, (help_text, build, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         if build is _gen_report:  # draws its own scenario and always writes JSON
@@ -81,10 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--profile", choices=scenario.PROFILES, default=scenario.PROFILE_UNCONSTRAINED
             )
-            add_common(p, default_format="json")
+            p.set_defaults(format="json")
         else:
             p.add_argument("--input", "-i", required=True, help="scenario JSON file")
-            add_common(p)
+            p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument(
+            "--output",
+            "-o",
+            help=(
+                "output file; stdout when omitted. A relative path is joined "
+                f"with ${ENV_OUTPUT_DIR} when that is set."
+            ),
+        )
+        p.add_argument("--verbose", "-v", action="count", default=0)
     return parser
 
 

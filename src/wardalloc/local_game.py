@@ -13,7 +13,8 @@ from .errors import InstanceTooLargeError, InvalidInstanceError
 from .scenario import ScenarioInstance, _id_list, _payoff_table, check_assumption1, format_rational
 
 # Most payoff entries (|R| ** |Q| profiles x |Q| payoffs each) a search may
-# cover: search time and tensor memory grow with the entries, not the profiles.
+# cover: the report's search time grows with the entries, not the profiles,
+# and so does the memory of a tensor from build_payoff_tensor.
 PROFILE_ENUMERATION_CAP = 6 * 10**6
 
 # Full payoff tables are embedded in JSON reports only up to this many profiles.
@@ -82,16 +83,13 @@ class PayoffTensor:
                 )
 
 
-def _split(inst: ScenarioInstance, choice: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Payoffs of one joint choice given as ward indices: hospitals that pick
-    the same ward split its group in proportion to their populations."""
-    pop = inst.population
-    chooser_pop = {}
-    for qi, ri in enumerate(choice):
-        chooser_pop[ri] = chooser_pop.get(ri, Fraction(0)) + pop[qi]
-    return tuple(
-        inst.group_sizes[ri] * pop[qi] / chooser_pop[ri] for qi, ri in enumerate(choice)
-    )
+def _split(groups, weights, choice) -> tuple[Fraction, ...]:
+    """Payoffs of one joint choice (a ward index per hospital): q on ward r gets
+    G_r * w_q / W_r, where W_r sums the weights of the hospitals on r."""
+    load = [0] * len(groups)
+    for w, r in zip(weights, choice):
+        load[r] += w
+    return tuple(Fraction(groups[r] * w, load[r]) for w, r in zip(weights, choice))
 
 
 def payoff(inst: ScenarioInstance, profile: StrategyProfile) -> tuple[Fraction, ...]:
@@ -103,7 +101,8 @@ def payoff(inst: ScenarioInstance, profile: StrategyProfile) -> tuple[Fraction, 
     """
     if profile.hospitals != inst.hospitals:
         raise InvalidInstanceError("profile hospitals do not match the instance")
-    return _split(inst, tuple(inst.ward_index(w) for w in profile.wards))
+    choice = tuple(inst.ward_index(w) for w in profile.wards)
+    return _split(inst.group_sizes, _weights(inst), choice)
 
 
 def _choices(inst: ScenarioInstance):
@@ -121,9 +120,10 @@ def _choices(inst: ScenarioInstance):
 
 def build_payoff_tensor(inst: ScenarioInstance) -> PayoffTensor:
     """Enumerate all |R| ** |Q| joint choices and their payoffs."""
-    ward_ids = inst.wards
+    ward_ids, groups, weights = inst.wards, inst.group_sizes, _weights(inst)
     payoffs = {
-        tuple(ward_ids[ri] for ri in combo): _split(inst, combo) for combo in _choices(inst)
+        tuple(ward_ids[ri] for ri in combo): _split(groups, weights, combo)
+        for combo in _choices(inst)
     }
     return PayoffTensor(hospitals=inst.hospitals, strategies=ward_ids, payoffs=payoffs)
 
@@ -222,18 +222,17 @@ def equilibrium_report_to_dict(inst: ScenarioInstance) -> dict:
     """JSON-ready local-game report: the instance's pure equilibria in table
     order, found by the verdict's stability rule with no payoff tensor;
     profiles as hospital->ward mappings and payoffs as "num/den" strings."""
-    hospitals, wards, weights = inst.hospitals, inst.wards, _weights(inst)
+    hospitals, wards = inst.hospitals, inst.wards
+    groups, weights = inst.group_sizes, _weights(inst)
 
     def profile(choice):
         return {h: wards[r] for h, r in zip(hospitals, choice)}
 
     def entry(choice):
-        return {
-            "profile": profile(choice),
-            "payoffs": {h: format_rational(v) for h, v in zip(hospitals, _split(inst, choice))},
-        }
+        payoffs = map(format_rational, _split(groups, weights, choice))
+        return {"profile": profile(choice), "payoffs": dict(zip(hospitals, payoffs))}
 
-    equilibria = [c for c in _choices(inst) if _stable(inst.group_sizes, weights, c)]
+    equilibria = [c for c in _choices(inst) if _stable(groups, weights, c)]
     verdict = diversification_verdict(inst)
     doc = {
         "hospitals": list(hospitals),

@@ -5,10 +5,11 @@ checked against full enumeration and against Fraction quotas, assumptions 1
 and 4 against their Fraction forms, plan values against a per-cell brute
 force, greedy plans and convenience orders against step-by-step searches
 valued by that brute force, the loader's nested rationals against a walk
-that parses every value on its own, the local game's equilibria against
-LPT, the greedy order of load balancing on related machines, and the LP
-export against a tiny standalone CPLEX-LP parser plus an external MILP
-solver when one is installed.
+that parses every value on its own, the local game's payoffs against
+shares summed as Fractions and its equilibria against LPT, the greedy order
+of load balancing on related machines, and the LP export against a tiny
+standalone CPLEX-LP parser plus an external MILP solver when one is
+installed.
 """
 
 import dataclasses
@@ -209,6 +210,19 @@ def lpt_choice(groups, shares):
         choice[q] = best
         load[best] += shares[q]
     return choice
+
+
+def reference_payoffs(inst, choice):
+    """Payoffs of one joint choice (a ward index per hospital) from Fraction
+    shares: the population on each ward summed share by share, then each
+    hospital's G_r * p_q / P_r."""
+    pop = inst.population
+    chooser_pop = {}
+    for qi, ri in enumerate(choice):
+        chooser_pop[ri] = chooser_pop.get(ri, Fraction(0)) + pop[qi]
+    return tuple(
+        inst.group_sizes[ri] * pop[qi] / chooser_pop[ri] for qi, ri in enumerate(choice)
+    )
 
 
 def brute_z(inst, members):

@@ -240,7 +240,7 @@ def test_local_text_three_hospitals(tmp_path, capsys):
 # SHA-256 of the `local` then `compare` reports, JSON then text, of every
 # instance of local_cases(), one after another. 5x5 is past the report's
 # table cap, so those reports carry no payoff table.
-LOCAL_SHA256 = "3cbb5da7ebe68b9e9a92eaafcec311fbd8b65a5db31280ab9a930716321bcaf1"
+LOCAL_SHA256 = "b7afc82d1d2c9252b61f865749febaa83bb0045f6bc5840db839da7ab750baf2"
 
 
 def local_cases():
@@ -248,7 +248,7 @@ def local_cases():
     where zero groups and equal shares tie the splits."""
     for profile in wardalloc.PROFILES:
         for dims in [(4, 4), (3, 5), (5, 4), (5, 5)]:
-            yield from (generate_scenario(seed, dims, profile) for seed in range(2))
+            yield from (generate_scenario(seed, dims, profile) for seed in range(3))
     yield from (small_denominator_instance(seed) for seed in range(60))
 
 
@@ -652,11 +652,20 @@ def test_command_help_exits_0(command, capsys):
     assert capsys.readouterr().out.startswith(f"usage: wardalloc {command} ")
 
 
-def test_gen_defaults_to_json_and_input_commands_to_text():
+def test_gen_defaults_to_json_and_input_commands_to_text(capsys):
+    # gen always writes JSON, so it takes no --format; the input commands
+    # render text unless asked for JSON
     parser = build_parser()
-    assert parser.parse_args(["gen", "--seed", "1", "--dims", "2x2"]).format == "json"
+    gen = ["gen", "--seed", "1", "--dims", "2x2"]
+    assert parser.parse_args(gen).format == "json"
+    for fmt in ("text", "json"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*gen, "--format", fmt])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
     for command in COMMANDS.keys() - {"gen"}:
         assert parser.parse_args([command, "--input", "s.json"]).format == "text"
+        assert parser.parse_args([command, "-i", "s.json", "--format", "json"]).format == "json"
 
 
 def test_very_verbose_logs_greedy_work_and_keeps_the_report(planned_file, capsys, caplog):

@@ -10,6 +10,7 @@ from conftest import (
     RECEPTION_TABLE,
     lpt_choice,
     make_instance,
+    reference_payoffs,
     small_denominator_instance,
     tie_heavy_instance,
 )
@@ -352,6 +353,26 @@ def test_verdict_lopsided_market(lopsided_market):
     assert v.implication_holds
 
 
+def test_one_ward_market_breaks_the_prediction_vacuously():
+    # with one ward there is no other group to outnumber, so assumption 1
+    # holds vacuously; the only profile is uniform, so the game has no
+    # diversified equilibrium and the predicted pattern does not show
+    inst = make_instance((100,), (Fraction(1, 2), Fraction(1, 2)))
+    assert diversification_verdict(inst) == DiversificationVerdict(
+        assumption1_holds=True, has_uniform_ne=True, has_diversified_ne=False
+    )
+    doc = equilibrium_report_to_dict(inst)
+    assert doc["equilibria"] == [
+        {"profile": {"q1": "r1", "q2": "r1"}, "payoffs": {"q1": "50/1", "q2": "50/1"}}
+    ]
+    assert doc["diversification"] == {
+        "assumption1_holds": True,
+        "has_uniform_equilibrium": True,
+        "has_diversified_equilibrium": False,
+        "matches_predicted_pattern": False,
+    }
+
+
 def test_verdict_flags_violations():
     broken = DiversificationVerdict(
         assumption1_holds=True, has_uniform_ne=True, has_diversified_ne=True
@@ -391,6 +412,11 @@ def test_closed_form_and_lpt_match_the_enumeration(family):
     for inst in LOCAL_GAME_SAMPLES[family]:
         groups, shares = inst.group_sizes, inst.population
         tensor = build_payoff_tensor(inst)
+        # every payoff against the split summed in Fraction shares
+        assert all(
+            values == reference_payoffs(inst, tuple(map(inst.ward_index, key)))
+            for key, values in tensor.payoffs.items()
+        ), (groups, shares)
         eq = enumerate_pure_nash(tensor)
         expected = (bool(eq.uniform_equilibria), bool(eq.diversified_equilibria))
         verdict = diversification_verdict(inst)
