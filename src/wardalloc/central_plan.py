@@ -420,10 +420,11 @@ class StaircaseVerdict:
     """Is the excellence set downward closed in both convenience orders?
 
     violation, when present, is ((q, r), (q2, r2)): (q, r) is in the set while
-    the dominated pair (q2, r2) is not, in the orders it was checked against.
+    the dominated pair (q2, r2) is not, in the instance's orders.
     """
 
     violation: tuple[tuple[str, str], tuple[str, str]] | None
+    orders: TotalOrders
 
     @property
     def holds(self) -> bool:
@@ -431,17 +432,12 @@ class StaircaseVerdict:
         return self.violation is None
 
 
-def check_staircase(solution: PlanSolution, orders: TotalOrders) -> StaircaseVerdict:
+def check_staircase(solution: PlanSolution) -> StaircaseVerdict:
     """Verify that whenever (q, r) is excellent, so is every (q', r') with q'
-    at least as convenient and r' at least as large-ordered. The orders must
-    rank each hospital and each ward of the solution's instance once."""
-    inst = solution.instance
-    for name, ids in (("hospital_order", inst.hospitals), ("ward_order", inst.wards)):
-        ranked = _id_list(getattr(orders, name), f"staircase {name}", len(ids))
-        if set(ranked) != set(ids):
-            raise InvalidInstanceError(
-                f"staircase {name}: expected each of {ids!r} once, got {ranked!r}"
-            )
+    at least as convenient and r' at least as large-ordered, in the orders of
+    the solution's instance; where those do not exist, total_orders raises
+    an assumption violation."""
+    orders = total_orders(solution.instance)
     members = solution.excellence.members
     hrank = {q: i for i, q in enumerate(orders.hospital_order)}
     wrank = {r: i for i, r in enumerate(orders.ward_order)}
@@ -449,8 +445,8 @@ def check_staircase(solution: PlanSolution, orders: TotalOrders) -> StaircaseVer
         for q2 in orders.hospital_order[: hrank[q] + 1]:
             for r2 in orders.ward_order[: wrank[r] + 1]:
                 if (q2, r2) not in members:
-                    return StaircaseVerdict(((q, r), (q2, r2)))
-    return StaircaseVerdict(None)
+                    return StaircaseVerdict(((q, r), (q2, r2)), orders)
+    return StaircaseVerdict(None, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +540,10 @@ def export_ilp(
     return "\n".join(lines)
 
 
-def plan_to_dict(solution: PlanSolution, orders: TotalOrders | None = None) -> dict:
-    """JSON-ready planning report with rationals as "num/den" strings; given
-    the convenience orders, it carries the plan's own staircase verdict."""
+def plan_to_dict(solution: PlanSolution, staircase: bool = False) -> dict:
+    """JSON-ready planning report with rationals as "num/den" strings; with
+    staircase, it carries the plan's staircase verdict where the instance's
+    convenience orders exist."""
     doc = {
         "excellence": [
             {"hospital": q, "ward": r}
@@ -575,14 +572,17 @@ def plan_to_dict(solution: PlanSolution, orders: TotalOrders | None = None) -> d
             for step in solution.trace
         ],
     }
-    if orders is not None:
-        staircase = check_staircase(solution, orders)
+    if staircase:
+        try:
+            verdict = check_staircase(solution)
+        except AssumptionViolationError:  # no convenience orders
+            return doc
         doc["staircase"] = {
-            "holds": staircase.holds,
+            "holds": verdict.holds,
             "violation": None
-            if staircase.violation is None
-            else [list(staircase.violation[0]), list(staircase.violation[1])],
-            "ward_order": list(orders.ward_order),
-            "hospital_order": list(orders.hospital_order),
+            if verdict.violation is None
+            else [list(verdict.violation[0]), list(verdict.violation[1])],
+            "ward_order": list(verdict.orders.ward_order),
+            "hospital_order": list(verdict.orders.hospital_order),
         }
     return doc

@@ -192,12 +192,7 @@ def _local_text(report: dict) -> str:
 
 def _greedy_report(inst) -> dict:
     """Greedy plan, with its staircase verdict when the orders exist."""
-    solution = central_plan.greedy_solve(inst)
-    try:
-        orders = central_plan.total_orders(inst)
-    except AssumptionViolationError:
-        orders = None
-    doc = central_plan.plan_to_dict(solution, orders)
+    doc = central_plan.plan_to_dict(central_plan.greedy_solve(inst), staircase=True)
     return {"command": "central-greedy", **doc}
 
 

@@ -33,7 +33,6 @@ from wardalloc import (
     export_ilp,
     generate_scenario,
     greedy_solve,
-    total_orders,
 )
 
 A1 = "assumption1-satisfying"
@@ -209,14 +208,13 @@ def test_acceptance_06_staircase_property(capsys):
     for seed, dims in runs:
         inst = generate_scenario(seed, dims, A45)
         sol = greedy_solve(inst)
-        orders = total_orders(inst)
-        verdict = check_staircase(sol, orders)
+        verdict = check_staircase(sol)
         assert verdict.holds, f"staircase broken at seed {seed} {dims}: {verdict}"
         if seed == pinned_seed and dims == (5, 7):
             members = set(sol.excellence.members)
             pinned_shape = tuple(
                 sum((q, r) in members for r in inst.wards)
-                for q in orders.hospital_order
+                for q in verdict.orders.hospital_order
             )
     elapsed = time.perf_counter() - started
     finish(
