@@ -70,17 +70,9 @@ class ExcellenceSet:
         return len(self.members)
 
     def _indices(self, inst: ScenarioInstance) -> list[tuple[int, int]]:
-        """Members as sorted (hospital index, ward index) pairs; a member
-        outside the instance raises an invalid-instance error."""
-        indices = []
-        for q, r in self.members:
-            try:
-                indices.append((inst.hospitals.index(q), inst.wards.index(r)))
-            except ValueError:
-                raise InvalidInstanceError(
-                    f"excellence pair ({q!r}, {r!r}) is not in the instance"
-                ) from None
-        return sorted(indices)
+        """Members as sorted (hospital index, ward index) pairs; an id outside
+        the instance raises the instance's invalid-instance error."""
+        return sorted((inst.hospital_index(q), inst.ward_index(r)) for q, r in self.members)
 
     def sorted_members(self, inst: ScenarioInstance) -> tuple[tuple[str, str], ...]:
         return tuple((inst.hospitals[qi], inst.wards[ri]) for qi, ri in self._indices(inst))
@@ -356,7 +348,7 @@ def ward_order(inst: ScenarioInstance) -> tuple[str, ...]:
     return tuple(inst.wards[ri] for ri in ranked)
 
 
-def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str, ...]:
+def hospital_order(inst: ScenarioInstance) -> tuple[str, ...]:
     """Hospitals by convenience: greedy's own order on one ward. With a
     budget that buys every upgrade of the ward, greedy's step appends the
     hospital whose upgrade in that ward lowers z the most, ties by hospital
@@ -364,9 +356,9 @@ def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str
 
     Requires ward-independent internal costs and a uniform upgrade cost; with
     the uniform upgrade cost the price cancels in every comparison, so only
-    patient-cost savings are compared. Without a ward argument, the order
-    every ward gives; if two wards disagree (their outside costs or demand
-    shares may still differ), raises an assumption violation naming both.
+    patient-cost savings are compared. Returns the order every ward gives;
+    if two wards disagree (their outside costs or demand shares may still
+    differ), raises an assumption violation naming both.
     """
     for check, requirement in (
         (check_assumption4, "internal costs independent of the ward type (assumption 4)"),
@@ -379,9 +371,8 @@ def hospital_order(inst: ScenarioInstance, ward: str | None = None) -> tuple[str
             )
     nq = inst.num_hospitals
     model = inst._costs
-    wards = range(inst.num_wards) if ward is None else [inst.ward_index(ward)]
     by_profile = {}  # first ward of each profile and its order
-    for ri in wards:
+    for ri in range(inst.num_wards):
         # savings scale with the patient counts, so wards with the same outside
         # costs and proportional counts (demand shares) order alike
         scale, rows = model.wards[ri]

@@ -24,6 +24,7 @@ from wardalloc import (
     PayoffTensor,
     ScenarioInstance,
     Violation,
+    central_plan,
     parse_rational,
 )
 from wardalloc.scenario import _entries
@@ -292,6 +293,43 @@ def reference_hospital_order(inst, ward):
         ]
         order.append(min(options)[2])
     return tuple(order)
+
+
+def one_ward(inst, ward):
+    """The instance restricted to one ward: that ward's id, patient group and
+    cost columns. Its market keeps the ward's scale, demand counts and scaled
+    costs, so hospital_order of it is the ward's own order."""
+    ri = inst.ward_index(ward)
+    return dataclasses.replace(
+        inst,
+        wards=(ward,),
+        group_sizes=(inst.group_sizes[ri],),
+        excel_cost=[[row[ri]] for row in inst.excel_cost],
+        internal_cost=[[[row[ri]] for row in plane] for plane in inst.internal_cost],
+        out_cost=[[row[ri]] for row in inst.out_cost],
+    )
+
+
+def with_ward_free_costs(inst):
+    """The instance with every ward's internal costs set to the first ward's,
+    so that assumption 4 holds."""
+    internal = [[[row[0]] * len(row) for row in plane] for plane in inst.internal_cost]
+    return dataclasses.replace(inst, internal_cost=internal)
+
+
+@pytest.fixture
+def greedy_runs(monkeypatch):
+    """The runs of central_plan._greedy_steps, one argument tuple per run,
+    counted by a wrapper installed for the test."""
+    runs = []
+    greedy_steps = central_plan._greedy_steps
+
+    def counted(*args):
+        runs.append(args)
+        return greedy_steps(*args)
+
+    monkeypatch.setattr(central_plan, "_greedy_steps", counted)
+    return runs
 
 
 # Budgets as shares of all upgrade costs: tight, middling and loose.

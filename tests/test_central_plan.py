@@ -13,6 +13,7 @@ from conftest import (
     SHARES,
     brute_z,
     make_instance,
+    one_ward,
     parse_lp,
     reference_greedy,
     reference_hospital_order,
@@ -20,6 +21,7 @@ from conftest import (
     tie_heavy_instance,
     unpruned_best,
     with_budget_share,
+    with_ward_free_costs,
 )
 from wardalloc import (
     EMPTY_EXCELLENCE,
@@ -98,18 +100,23 @@ def test_excellence_set_basics(comparable_market):
 
 
 def test_excellence_set_rejects_unknown_pair(comparable_market):
-    # every use converts the ids once, and that conversion names the pair
-    t = ExcellenceSet.of([("q1", "zz")])
-    uses = (
-        t.cost,
-        t.sorted_members,
-        lambda inst: admissible(t, inst),
-        lambda inst: evaluate_Z(t, inst),
-        lambda inst: export_ilp(inst, forced_excellence=t),
-    )
-    for use in uses:
-        with pytest.raises(InvalidInstanceError, match=r"^excellence pair \('q1', 'zz'\) is not"):
-            use(comparable_market)
+    # every use converts the ids once, through the instance's own lookup,
+    # and that lookup names the unknown id and its kind
+    for pair, message in (
+        (("q1", "zz"), r"^unknown ward id 'zz'$"),
+        (("zz", "r1"), r"^unknown hospital id 'zz'$"),
+    ):
+        t = ExcellenceSet.of([pair])
+        uses = (
+            t.cost,
+            t.sorted_members,
+            lambda inst: admissible(t, inst),
+            lambda inst: evaluate_Z(t, inst),
+            lambda inst: export_ilp(inst, forced_excellence=t),
+        )
+        for use in uses:
+            with pytest.raises(InvalidInstanceError, match=message):
+                use(comparable_market)
 
 
 @pytest.mark.parametrize(
@@ -490,16 +497,9 @@ def test_hospital_order_marginal_vs_single_site():
 def test_hospital_order_independent_of_ward():
     for seed in range(15):
         inst = generate_scenario(seed, (4, 3), "assumption4&5-satisfying")
-        orders = {hospital_order(inst, ward=w) for w in inst.wards}
+        orders = {hospital_order(one_ward(inst, w)) for w in inst.wards}
         assert len(orders) == 1
         assert hospital_order(inst) in orders
-
-
-def with_ward_free_costs(inst):
-    """The instance with every ward's internal costs set to the first ward's,
-    so that assumption 4 holds."""
-    internal = [[[row[0]] * len(row) for row in plane] for plane in inst.internal_cost]
-    return dataclasses.replace(inst, internal_cost=internal)
 
 
 def test_hospital_order_matches_reference_on_generated():
@@ -507,7 +507,7 @@ def test_hospital_order_matches_reference_on_generated():
         for dims in itertools.product(range(2, 7), (2, 3)):
             inst = generate_scenario(seed, dims, "assumption4&5-satisfying")
             for ward in inst.wards:
-                assert hospital_order(inst, ward) == reference_hospital_order(inst, ward)
+                assert hospital_order(one_ward(inst, ward)) == reference_hospital_order(inst, ward)
 
 
 def test_hospital_order_matches_reference_on_ties():
@@ -522,9 +522,9 @@ def test_hospital_order_matches_reference_on_ties():
     for inst in ties:
         references = [reference_hospital_order(inst, ward) for ward in inst.wards]
         for ward, reference in zip(inst.wards, references):
-            assert hospital_order(inst, ward) == reference
+            assert hospital_order(one_ward(inst, ward)) == reference
         # outside costs and group sizes still vary by ward, so the wards'
-        # orders can differ; without a ward the order exists only if they agree
+        # orders can differ; the instance's order exists only if they agree
         if len(set(references)) == 1:
             assert hospital_order(inst) == references[0]
         else:
@@ -534,8 +534,8 @@ def test_hospital_order_matches_reference_on_ties():
 
 def test_disagreeing_wards_are_named_and_drop_the_staircase(tmp_path, capsys):
     inst = with_ward_free_costs(tie_heavy_instance(13))
-    assert hospital_order(inst, "r1") == ("q2", "q1")
-    assert hospital_order(inst, "r2") == ("q1", "q2")
+    assert hospital_order(one_ward(inst, "r1")) == ("q2", "q1")
+    assert hospital_order(one_ward(inst, "r2")) == ("q1", "q2")
     with pytest.raises(AssumptionViolationError, match="r1 gives q2 > q1 but r2 gives q1 > q2"):
         hospital_order(inst)
     path = tmp_path / "ties.json"
@@ -567,6 +567,18 @@ def test_total_orders_bundle():
     orders = total_orders(inst)
     assert orders.ward_order == ward_order(inst)
     assert orders.hospital_order == hospital_order(inst)
+
+
+def test_hospital_order_runs_greedy_once_per_ward_profile(greedy_runs):
+    # wards with the same outside costs and demand shares order alike, so
+    # hospital_order runs greedy once per such profile, not once per ward;
+    # generated A4&5 wards all share one profile
+    for dims in ((2, 2), (2, 3), (3, 3), (20, 20), (30, 20)):
+        for seed in range(3):
+            inst = generate_scenario(seed, dims, "assumption4&5-satisfying")
+            greedy_runs.clear()
+            hospital_order(inst)
+            assert len(greedy_runs) == 1, (dims, seed)
 
 
 # ---------------------------------------------------------------------------

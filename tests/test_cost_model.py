@@ -14,11 +14,13 @@ from conftest import (
     SHARES,
     brute_z,
     make_instance,
+    one_ward,
     reference_greedy,
     reference_hospital_order,
     tie_heavy_instance,
     unpruned_best,
     with_budget_share,
+    with_ward_free_costs,
 )
 from wardalloc import (
     OUTSIDE,
@@ -138,19 +140,12 @@ def assert_matches_oracles(inst, *, exact=True):
         assert solution.assignment == reference_assignment(inst, solution.excellence.members)
     if check_assumption4(inst).holds and check_assumption5(inst).holds:
         for ward in inst.wards:
-            assert hospital_order(inst, ward) == reference_hospital_order(inst, ward)
+            assert hospital_order(one_ward(inst, ward)) == reference_hospital_order(inst, ward)
     report = check_assumption2(inst)
     assert [(v.code, v.lhs, v.rhs) for v in report.violations] == reference_assumption2(inst)
     objective, budget, rhs = exported_rows(export_ilp(inst, greedy.excellence))
     assert objective == reference_objective(inst)
     assert (budget, rhs) == reference_budget_row(inst)
-
-
-def with_ward_free_costs(inst):
-    """The instance with every ward's internal costs set to the first ward's,
-    so that assumption 4 holds."""
-    internal = [[[row[0]] * len(row) for row in plane] for plane in inst.internal_cost]
-    return dataclasses.replace(inst, internal_cost=internal)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +244,7 @@ def test_each_ward_carries_only_its_own_scale():
     assert Fraction(model.budget, model.price_scale) == inst.budget
 
 
-def test_wards_with_the_same_scaled_rows_order_apart():
+def test_wards_with_the_same_scaled_rows_order_apart(greedy_runs):
     # r2's outside costs are half of r1's, so at scales 1 and 2 both wards'
     # outside costs read (1, 2); the wards still order their hospitals apart
     inst = make_instance(
@@ -261,6 +256,8 @@ def test_wards_with_the_same_scaled_rows_order_apart():
     )
     assert [rows[1] for _, rows in inst._costs.wards] == [(1, 2, (2, 1)), (1, 2, (4, 2))]
     for ward in inst.wards:
-        assert hospital_order(inst, ward) == reference_hospital_order(inst, ward)
+        assert hospital_order(one_ward(inst, ward)) == reference_hospital_order(inst, ward)
+    greedy_runs.clear()
     with pytest.raises(AssumptionViolationError, match="r1 gives q2 > q1 but r2 gives q1 > q2"):
         hospital_order(inst)
+    assert len(greedy_runs) == 2  # their scales differ, so their profiles do
