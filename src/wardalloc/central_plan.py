@@ -34,8 +34,9 @@ from .scenario import (
 # Destination marker for patients treated outside the system.
 OUTSIDE = "outside"
 
-# Most candidate plans exact_solve may form in one run, summed over its wards
-# (each ward forms the plans kept so far x 2^|Q|).
+# exact_solve's guard: the plans kept before each ward x 2^|Q|, summed over
+# the run's wards, may be at most this. The sum bounds from above the subsets
+# the wards list and the plan-subset pairs the merge forms.
 EXACT_ENUMERATION_CAP = 2**18
 
 
@@ -283,57 +284,94 @@ def greedy_solve(inst: ScenarioInstance) -> PlanSolution:
     return _checked_solution(inst, added, z, trace)
 
 
+def _keep_better(records):
+    """Nemhauser & Ullmann's keep-if-better rule on (spent, *key) records:
+    sorted by (spent, key), each record is kept iff its key is below the last
+    kept key. So a record is kept iff no record that spends the same or less
+    has a smaller key, and the kept keys fall as spending rises."""
+    kept = []
+    for record in sorted(records):
+        if not kept or record[1:] < kept[-1][1:]:
+            kept.append(record)
+    return kept
+
+
+def _ward_frontier(model: CostModel, ri: int, outside: list[int]):
+    """Ward ri's Pareto frontier, from its cells' all-outside costs: the
+    fitting subsets of its upgrades that no subset spending the same or less
+    beats, as (spent, z change, size, -members) records sorted by spending,
+    and the number of fitting subsets listed. Subsets are listed depth first,
+    so each one's cell costs live until its children are built. A z change is
+    compared as an int over price_scale * scale, the same denominator for
+    every subset of the ward, and made a rational only if kept."""
+    nq, nr = len(model.prices), len(model.wards)
+    scale, rows = model.wards[ri]
+    budget, price_scale = model.budget, model.price_scale
+    subsets, stack = [], [(0, outside, 0, 0, 0, 0)]
+    while stack:
+        first, costs, s, saved, size, key = stack.pop()
+        subsets.append((s, s * scale - saved * price_scale, size, key))
+        for qi in range(first, nq):
+            price = model.prices[qi][ri]
+            if s + price <= budget:  # else no superset through qi fits either
+                taken, saving = _improvements(rows, costs, qi)
+                moved = list(costs)
+                for pos, c_in in taken:
+                    moved[pos] = c_in
+                bit = 1 << nq * nr - 1 - (qi * nr + ri)
+                stack.append((qi + 1, moved, s + price, saved + saving, size + 1, key - bit))
+    frontier = [
+        (s, Fraction(dz, price_scale * scale), size, key)
+        for s, dz, size, key in _keep_better(subsets)
+    ]
+    return frontier, len(subsets)
+
+
 def exact_solve(inst: ScenarioInstance) -> PlanSolution:
     """Optimum over all budget-admissible excellence sets. Ties prefer fewer
     members, then the lexicographically smallest sorted member list.
 
     Wards share only the budget (an upgrade in ward r moves only ward-r
     cells), so plans grow ward by ward in Nemhauser & Ullmann's Pareto merge:
-    each meets every fitting subset of the ward's upgrades and is kept only if
-    its (z, size, -members) key beats every plan that spends no more. members
-    has pair (qi, ri) at bit n-1-(qi*|R|+ri), n = |Q|*|R|, so among equal
-    sizes the larger mask is the smaller sorted member list. Each part of a
-    record is a sum over wards (their bits are disjoint), and adding the same
-    subset to two plans keeps their order. Guarded by EXACT_ENUMERATION_CAP.
-    Cells follow evaluate_Z's rule. Spending and each ward's savings are ints
-    at the price and ward scales; z, which spans wards, is a rational."""
+    each meets every subset on the ward's frontier and is kept only if its
+    (z, size, -members) key beats every plan that spends no more
+    (_keep_better). members has pair (qi, ri) at bit n-1-(qi*|R|+ri), n =
+    |Q|*|R|, so among equal sizes the larger mask is the smaller sorted member
+    list. Each part of a record is a sum over wards (their bits are
+    disjoint), and adding the same subset to two plans keeps their order; so
+    a subset beaten by one of its ward's subsets that spends no more is in no
+    kept plan. EXACT_ENUMERATION_CAP bounds the kept plans x 2^|Q|, summed
+    over wards: more than the wards list and the merge forms. Cells follow
+    evaluate_Z's rule. Spending and each ward's savings are ints at the price
+    and ward scales; z, which spans wards, is a rational."""
     nq, nr = inst.num_hospitals, inst.num_wards
     model = inst._costs
-    budget, price_scale = model.budget, model.price_scale
+    budget = model.budget
     outside = _outside_costs(model)
-    # plans: (spent, z, size, -members); subsets: (spent, z change, size, -members)
+    # plans: (spent, z, size, -members); frontiers: (spent, z change, size, -members)
     plans = [(0, _patient_cost(model, outside), 0, 0)]
-    formed = 0
-    for ri, (scale, rows) in enumerate(model.wards):
-        formed += len(plans) << nq
-        if formed > EXACT_ENUMERATION_CAP:
-            raise InstanceTooLargeError(
-                f"ward {inst.wards[ri]!r} would bring the run to {formed} candidate "
-                f"plans, over the exact solver's cap of {EXACT_ENUMERATION_CAP}"
+    formed = listed = on_frontiers = pairs = 0
+    try:
+        for ri in range(nr):
+            formed += len(plans) << nq
+            if formed > EXACT_ENUMERATION_CAP:
+                raise InstanceTooLargeError(
+                    f"ward {inst.wards[ri]!r} would bring the run to {formed} candidate "
+                    f"plans, over the exact solver's cap of {EXACT_ENUMERATION_CAP}"
+                )
+            frontier, count = _ward_frontier(model, ri, outside[ri])
+            listed += count
+            on_frontiers += len(frontier)
+            pairs += len(plans) * len(frontier)
+            plans = _keep_better(
+                (spent + s, z + dz, size + k, key + m)
+                for spent, z, size, key in plans
+                for s, dz, k, m in frontier
+                if spent + s <= budget
             )
-        # depth first: each subset's cell costs live until its children are built
-        subsets, stack = [], [(0, outside[ri], 0, 0, 0, 0)]
-        while stack:
-            first, costs, s, saved, size, key = stack.pop()
-            subsets.append((s, _z_change(s, saved, price_scale, scale), size, key))
-            for qi in range(first, nq):
-                price = model.prices[qi][ri]
-                if s + price <= budget:  # else no superset through qi fits either
-                    taken, saving = _improvements(rows, costs, qi)
-                    moved = list(costs)
-                    for pos, c_in in taken:
-                        moved[pos] = c_in
-                    bit = 1 << nq * nr - 1 - (qi * nr + ri)
-                    stack.append((qi + 1, moved, s + price, saved + saving, size + 1, key - bit))
-        plans, candidates = [], sorted(
-            (spent + s, z + dz, size + k, key + m)
-            for spent, z, size, key in plans
-            for s, dz, k, m in subsets
-            if spent + s <= budget
-        )
-        for plan in candidates:
-            if not plans or plan[1:] < plans[-1][1:]:
-                plans.append(plan)
+    finally:
+        message = "exact: subsets listed %d, on ward frontiers %d, plan-subset pairs %d, plans kept %d"
+        _debug(__name__, message, listed, on_frontiers, pairs, len(plans))
     _, z, _, key = plans[-1]  # keys fall as spending rises
     chosen = [divmod(i, nr) for i in range(nq * nr) if -key >> nq * nr - 1 - i & 1]
     return _checked_solution(inst, chosen, z)

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the package's own algorithms: splits are
 checked against full enumeration and against Fraction quotas, assumptions 1
 and 4 against their Fraction forms, plan values against a per-cell brute
-force, greedy plans and convenience orders against step-by-step searches
-valued by that brute force, the loader's nested rationals against a walk
+force, the exact solver against the merge of every fitting subset that its
+per-ward frontier replaced, greedy plans and convenience orders against
+step-by-step searches valued by that brute force, the loader's nested rationals against a walk
 that parses every value on its own, the local game's payoffs against
 shares summed as Fractions and its equilibria against LPT, the greedy order
 of load balancing on related machines, and the LP export against a tiny
@@ -27,6 +28,15 @@ from wardalloc import (
     central_plan,
     parse_rational,
 )
+from wardalloc.central_plan import (
+    EXACT_ENUMERATION_CAP,
+    _checked_solution,
+    _improvements,
+    _outside_costs,
+    _patient_cost,
+    _z_change,
+)
+from wardalloc.errors import InstanceTooLargeError
 from wardalloc.scenario import _entries
 
 
@@ -402,6 +412,53 @@ def unpruned_best(inst):
             if best is None or key < best:
                 best = key
     return best
+
+
+def reference_exact(inst):
+    """exact_solve as it was before each ward's subsets were cut to its
+    Pareto frontier: every plan kept so far meets every fitting subset of the
+    next ward's upgrades, and only the merged plans are filtered. Same
+    records, tie-breaks and guard as exact_solve."""
+    nq, nr = inst.num_hospitals, inst.num_wards
+    model = inst._costs
+    budget, price_scale = model.budget, model.price_scale
+    outside = _outside_costs(model)
+    # plans: (spent, z, size, -members); subsets: (spent, z change, size, -members)
+    plans = [(0, _patient_cost(model, outside), 0, 0)]
+    formed = 0
+    for ri, (scale, rows) in enumerate(model.wards):
+        formed += len(plans) << nq
+        if formed > EXACT_ENUMERATION_CAP:
+            raise InstanceTooLargeError(
+                f"ward {inst.wards[ri]!r} would bring the run to {formed} candidate "
+                f"plans, over the exact solver's cap of {EXACT_ENUMERATION_CAP}"
+            )
+        # depth first: each subset's cell costs live until its children are built
+        subsets, stack = [], [(0, outside[ri], 0, 0, 0, 0)]
+        while stack:
+            first, costs, s, saved, size, key = stack.pop()
+            subsets.append((s, _z_change(s, saved, price_scale, scale), size, key))
+            for qi in range(first, nq):
+                price = model.prices[qi][ri]
+                if s + price <= budget:  # else no superset through qi fits either
+                    taken, saving = _improvements(rows, costs, qi)
+                    moved = list(costs)
+                    for pos, c_in in taken:
+                        moved[pos] = c_in
+                    bit = 1 << nq * nr - 1 - (qi * nr + ri)
+                    stack.append((qi + 1, moved, s + price, saved + saving, size + 1, key - bit))
+        plans, candidates = [], sorted(
+            (spent + s, z + dz, size + k, key + m)
+            for spent, z, size, key in plans
+            for s, dz, k, m in subsets
+            if spent + s <= budget
+        )
+        for plan in candidates:
+            if not plans or plan[1:] < plans[-1][1:]:
+                plans.append(plan)
+    _, z, _, key = plans[-1]  # keys fall as spending rises
+    chosen = [divmod(i, nr) for i in range(nq * nr) if -key >> nq * nr - 1 - i & 1]
+    return _checked_solution(inst, chosen, z)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ convenience orders, the staircase check, and the LP export."""
 import dataclasses
 import itertools
 import json
+import logging
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from conftest import (
     make_instance,
     one_ward,
     parse_lp,
+    reference_exact,
     reference_greedy,
     reference_hospital_order,
     solve_lp_external,
@@ -462,10 +464,96 @@ def test_exact_guard():
 
 
 def test_exact_guard_counts_the_whole_run(monkeypatch):
-    # 4x6 forms at most 656 candidates in any one ward but 1,840 in all
+    # on 4x6 the guard counts at most 656 candidates (kept plans x 2^|Q|) in
+    # any one ward but 1,840 in all; the run itself forms 334 pairs
     monkeypatch.setattr("wardalloc.central_plan.EXACT_ENUMERATION_CAP", 1000)
     with pytest.raises(InstanceTooLargeError, match="cap of 1000"):
         exact_solve(generate_scenario(1, (4, 6)))
+
+
+def test_exact_logs_its_work_when_the_guard_stops_it(monkeypatch, caplog):
+    # the line counts the four wards run before r5 would pass the cap
+    monkeypatch.setattr("wardalloc.central_plan.EXACT_ENUMERATION_CAP", 1000)
+    caplog.set_level(logging.DEBUG, logger="wardalloc.central_plan")
+    with pytest.raises(InstanceTooLargeError, match="ward 'r5' would bring the run to 1184"):
+        exact_solve(generate_scenario(1, (4, 6)))
+    assert [r.getMessage() for r in caplog.records] == [
+        "exact: subsets listed 64, on ward frontiers 17, plan-subset pairs 143, plans kept 34",
+    ]
+
+
+def test_exact_matches_the_subset_merge():
+    # merging only each ward's frontier keeps the plans, tie-breaks included,
+    # that merging all its fitting subsets keeps. With mixed prices a subset
+    # can spend more than another for the same z and fewer members; 13 of
+    # those 200 optima need such a subset, so a frontier cut on z alone fails
+    ties = [tie_heavy_instance(seed) for seed in range(400)]
+    for dims in ((4, 3), (3, 4)):
+        ties += [tie_heavy_instance(seed, dims) for seed in range(100)]
+        ties += [with_mixed_prices(tie_heavy_instance(seed, dims), seed) for seed in range(100)]
+    generated = [
+        with_budget_share(generate_scenario(seed, dims, profile), share)
+        for dims in ((2, 2), (3, 3), (4, 4), (3, 5), (4, 6))
+        for seed in range(5)
+        for profile in PROFILES
+        for share in SHARES
+    ]
+    for inst in ties + generated:
+        assert plan_to_dict(exact_solve(inst)) == plan_to_dict(reference_exact(inst))
+
+
+def brute_ward_frontier(inst, ri):
+    """Ward ri's fitting subsets that no subset spending the same or less
+    beats on (z, size, sorted members), listed from all 2^|Q| subsets and
+    valued by brute_z, as (price, z change, size, members) sorted by price
+    and key; and the number of fitting subsets."""
+    z0 = brute_z(inst, [])
+    fitting = []
+    for size in range(inst.num_hospitals + 1):
+        for qis in itertools.combinations(range(inst.num_hospitals), size):
+            price = sum((inst.excel_cost[qi][ri] for qi in qis), Fraction(0))
+            if price <= inst.budget:
+                members = tuple((qi, ri) for qi in qis)
+                named = [(inst.hospitals[qi], inst.wards[ri]) for qi in qis]
+                fitting.append((price, brute_z(inst, named) - z0, size, members))
+    frontier = [
+        (price, *key)
+        for price, *key in fitting
+        if not any(p <= price and k < key for p, *k in fitting)
+    ]
+    return sorted(frontier), len(fitting)
+
+
+def test_ward_frontier_is_the_undominated_subsets():
+    instances = [
+        with_budget_share(generate_scenario(seed, dims, profile), share)
+        for dims in ((2, 2), (3, 2), (4, 3))
+        for seed in range(2)
+        for profile in PROFILES
+        for share in SHARES
+    ]
+    instances += [tie_heavy_instance(seed) for seed in range(40)]
+    # mixed prices let a subset spend more for the same z and fewer members
+    instances += [
+        with_mixed_prices(tie_heavy_instance(seed, dims), seed)
+        for dims in ((4, 2), (3, 3))
+        for seed in range(60)
+    ]
+    for inst in instances:
+        model = inst._costs
+        n, nr = inst.num_hospitals * inst.num_wards, inst.num_wards
+        for ri, outside in enumerate(central_plan._outside_costs(model)):
+            frontier, listed = central_plan._ward_frontier(model, ri, outside)
+            found = [
+                (
+                    Fraction(s, model.price_scale),
+                    dz,
+                    size,
+                    tuple(divmod(i, nr) for i in range(n) if -key >> n - 1 - i & 1),
+                )
+                for s, dz, size, key in frontier
+            ]
+            assert (found, listed) == brute_ward_frontier(inst, ri)
 
 
 # ---------------------------------------------------------------------------

@@ -684,6 +684,23 @@ def test_very_verbose_logs_greedy_work_and_keeps_the_report(planned_file, capsys
     ]
 
 
+def test_very_verbose_logs_exact_work_and_keeps_the_report(tmp_path, capsys, caplog):
+    # one DEBUG line per exact_solve run, at -vv only: this 4x6 file's wards
+    # list 96 subsets, keep 22 on their frontiers and form 334 plan-subset pairs
+    path = tmp_path / "exact.json"
+    save_scenario(generate_scenario(1, (4, 6)), path)
+    argv = ["central-exact", "--input", str(path), "--format", "json"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr().out
+    assert main(argv + ["-v"]) == 0
+    assert not caplog.records
+    assert main(argv + ["-vv"]) == 0
+    assert capsys.readouterr().out == 2 * quiet
+    assert [r.getMessage() for r in caplog.records if r.name == "wardalloc.central_plan"] == [
+        "exact: subsets listed 96, on ward frontiers 22, plan-subset pairs 334, plans kept 54",
+    ]
+
+
 def test_very_verbose_logs_each_cost_model_build(planned_file, capsys, caplog):
     # the instance's costs are in hundredths and its prices in 1/1250ths;
     # the model is built once, however many kernels read it
