@@ -11,8 +11,10 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain, islice, repeat
 
 from .errors import (
     AssumptionViolationError,
@@ -502,17 +504,15 @@ def _lp_num(n: int, scale: int, row: str, var: str | None = None) -> str:
     raise InstanceTooLargeError(f"LP row {row}: {what} is too {size} to write")
 
 
-def _lp_expr(row: str, terms: list[tuple[int, int, str]], fallback_var: str) -> list[str]:
-    """Render row `row`'s (coefficient, its scale, variable) terms, several
-    per line, skipping zeros."""
-    rendered = [f"{_lp_num(n, scale, row, var)} {var}" for n, scale, var in terms if n]
-    if not rendered:
-        rendered = [f"0 {fallback_var}"]
-    lines = []
-    for i in range(0, len(rendered), 6):
-        prefix = f" {row}: " if i == 0 else "   + "
-        lines.append(prefix + " + ".join(rendered[i : i + 6]))
-    return lines
+def _lp_expr(
+    row: str, terms: Iterable[tuple[int, int, str]], fallback_var: str
+) -> Iterator[str]:
+    """Render row `row`'s (coefficient, its scale, variable) terms, six per
+    line, skipping zeros, one line at a time."""
+    rendered = (f"{_lp_num(n, scale, row, var)} {var}" for n, scale, var in terms if n)
+    yield f" {row}: " + " + ".join(list(islice(rendered, 6)) or [f"0 {fallback_var}"])
+    while chunk := list(islice(rendered, 6)):
+        yield "   + " + " + ".join(chunk)
 
 
 def export_ilp(
@@ -530,43 +530,54 @@ def export_ilp(
     coefficient too large to write raises a size-guard error naming it.
     forced_excellence pins those y variables to 1 via the bounds section
     (fix-and-solve cross checks).
+
+    Each section is joined as soon as it is rendered, and each count * cost
+    term is made only when its line is, so the text's pieces do not outlive
+    their section.
     """
     nq, nr = inst.num_hospitals, inst.num_wards
     model = inst._costs
     ys = [f"y_{qi}_{ri}" for qi in range(nq) for ri in range(nr)]
     prices = [p for row in model.prices for p in row]
-    # every variable once, the y terms first; Binary reads this list
-    terms = [(p, model.price_scale, y) for p, y in zip(prices, ys)]
+
     cells = []  # (cell, ward index, x names, xout name) per demand cell
-    for ri, (scale, rows) in enumerate(model.wards):
-        for di, (count, out, internal) in enumerate(rows):
+    for ri, (_, rows) in enumerate(model.wards):
+        for di in range(len(rows)):
             cell = f"{di}_{ri}"
-            xs = [f"x_{cell}_{qi}" for qi in range(nq)]
-            xout = f"xout_{cell}"
-            terms.extend((count * c, scale, x) for c, x in zip(internal, xs))
-            terms.append((count * out, scale, xout))
-            cells.append((cell, ri, xs, xout))
+            cells.append((cell, ri, [f"x_{cell}_{qi}" for qi in range(nq)], f"xout_{cell}"))
 
-    lines = ["Minimize", *_lp_expr("obj", terms, ys[0]), "Subject To"]
-    for cell, _, xs, xout in cells:
-        lines.append(f" assign_{cell}: {xout} + " + " + ".join(xs) + " = 1")
-    for cell, ri, xs, _ in cells:
-        lines.extend(
-            f" link_{cell}_{qi}: {x} - {ys[qi * nr + ri]} <= 0" for qi, x in enumerate(xs)
-        )
+    def objective():  # every variable once, the y terms first
+        yield from zip(prices, repeat(model.price_scale), ys)
+        rows = (row for _, ward_rows in model.wards for row in ward_rows)  # in cells' order
+        for (count, out, internal), (_, ri, xs, xout) in zip(rows, cells):
+            scale = model.wards[ri][0]
+            yield from zip((count * c for c in internal), repeat(scale), xs)
+            yield count * out, scale, xout
+
+    def section(*parts) -> str:
+        return "\n".join(chain(*parts))
+
+    sections = [
+        section(["Minimize"], _lp_expr("obj", objective(), ys[0])),
+        section(
+            ["Subject To"],
+            (f" assign_{cell}: {xout} + " + " + ".join(xs) + " = 1" for cell, _, xs, xout in cells),
+        ),
+    ]
     # prices and budget at the price scale are the budget row's exact ints
-    lines.extend(_lp_expr("budget", [(p, 1, y) for p, y in zip(prices, ys)], ys[0]))
-    lines[-1] += f" <= {_lp_num(model.budget, 1, 'budget')}"
-
-    lines.append("Bounds")
-    if forced_excellence is not None:
-        for qi, ri in forced_excellence._indices(inst):
-            lines.append(f" {ys[qi * nr + ri]} = 1")
-
-    lines.append("Binary")
-    lines.extend(f" {var}" for _, _, var in terms)
-    lines += ["End", ""]  # joined with a final newline, without copying the text
-    return "\n".join(lines)
+    budget = list(_lp_expr("budget", zip(prices, repeat(1), ys), ys[0]))
+    budget[-1] += f" <= {_lp_num(model.budget, 1, 'budget')}"
+    links = (
+        f" link_{cell}_{qi}: {x} - {ys[qi * nr + ri]} <= 0"
+        for cell, ri, xs, _ in cells
+        for qi, x in enumerate(xs)
+    )
+    sections.append(section(links, budget))
+    forced = () if forced_excellence is None else forced_excellence._indices(inst)
+    sections.append(section(["Bounds"], (f" {ys[qi * nr + ri]} = 1" for qi, ri in forced)))
+    variables = chain(ys, (v for _, _, xs, xout in cells for v in (*xs, xout)))
+    sections.append(section(["Binary"], (f" {v}" for v in variables), ["End", ""]))
+    return "\n".join(sections)
 
 
 def plan_to_dict(solution: PlanSolution, staircase: bool = False) -> dict:

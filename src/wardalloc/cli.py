@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import central_plan, local_game, scenario
@@ -51,7 +52,10 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return nq, nr
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The command line's parser. When argv names a command, only that
+    command's subparser is added; otherwise (help, no command, an unknown
+    one) all of them are."""
     parser = argparse.ArgumentParser(
         prog="wardalloc",
         description=(
@@ -61,7 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, (help_text, build, _) in COMMANDS.items():
+    commands = [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS
+    for command in commands:
+        help_text, build, _ = COMMANDS[command]
         p = sub.add_parser(command, help=help_text)
         if build is _gen_report:  # draws its own scenario and always writes JSON
             p.add_argument("--seed", type=int, required=True)
@@ -319,7 +325,10 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extra = build_parser(argv).parse_known_args(argv)
+    if extra:  # reported under the usage line that lists every command
+        args = build_parser().parse_args(argv)
     # basicConfig only adds the handler once; the level is set on every call
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     log.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])

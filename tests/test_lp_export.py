@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -134,6 +135,24 @@ def test_export_bytes_are_pinned(key):
     forced = greedy_solve(inst).excellence if greedy else None
     text = export_ilp(inst, forced_excellence=forced)
     assert hashlib.sha256(text.encode()).hexdigest() == LP_SHA256[key]
+
+
+@pytest.mark.parametrize(
+    "args", [(0, (30, 20)), (0, (20, 20), "assumption4&5-satisfying")], ids=["30x20", "20x20-a45"]
+)
+def test_export_peaks_below_four_times_its_text(args):
+    # each section is joined once it is rendered and no count * cost term is
+    # kept, so the traced peak stays a small multiple of the text; it was
+    # about 5.6x while every term lived until the final join
+    inst = generate_scenario(*args)
+    inst._costs  # the instance's cost model, built before the trace
+    tracemalloc.start()
+    try:
+        text = export_ilp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 SOLVER_CASES = [
