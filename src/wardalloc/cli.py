@@ -67,9 +67,9 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
 
     commands = [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS
     for command in commands:
-        help_text, build, _ = COMMANDS[command]
+        help_text, report, _ = COMMANDS[command]
         p = sub.add_parser(command, help=help_text)
-        if build is _gen_report:  # draws its own scenario and always writes JSON
+        if report is None:  # gen draws its scenario and always writes JSON
             p.add_argument("--seed", type=int, required=True)
             p.add_argument("--dims", type=_parse_dims, required=True, metavar="QxR")
             p.add_argument(
@@ -110,7 +110,6 @@ def _emit(text: str, path: str | None) -> None:
 
 def _check_report(inst) -> dict:
     return {
-        "command": "check",
         "assumptions": [
             {
                 "assumption": rep.assumption,
@@ -143,10 +142,6 @@ def _check_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _local_report(inst) -> dict:
-    return {"command": "local", **local_game.equilibrium_report_to_dict(inst)}
-
-
 def _bimatrix_text(report: dict) -> str:
     """Two-hospital payoff table: rows are the first hospital's choices."""
     h1, h2 = report["hospitals"]
@@ -175,16 +170,11 @@ def _local_text(report: dict) -> str:
     lines = ["local-financing game"]
     if len(report["hospitals"]) == 2 and "payoff_table" in report:
         lines.append(_bimatrix_text(report))
-    if report["equilibria"]:
-        lines.append("pure equilibria:")
-        for entry in report["equilibria"]:
-            choice = ", ".join(f"{h} -> {w}" for h, w in entry["profile"].items())
-            values = ", ".join(
-                str(Fraction(entry["payoffs"][h])) for h in report["hospitals"]
-            )
-            lines.append(f"  {choice}   payoffs: {values}")
-    else:
-        lines.append("pure equilibria: none")
+    lines.append("pure equilibria:")  # load balancing always has one
+    for entry in report["equilibria"]:
+        choice = ", ".join(f"{h} -> {w}" for h, w in entry["profile"].items())
+        values = ", ".join(str(Fraction(entry["payoffs"][h])) for h in report["hospitals"])
+        lines.append(f"  {choice}   payoffs: {values}")
     d = report["diversification"]
     lines.append(
         "diversification: assumption1_holds={a}, uniform={u}, diversified={v}".format(
@@ -194,17 +184,6 @@ def _local_text(report: dict) -> str:
         )
     )
     return "\n".join(lines) + "\n"
-
-
-def _greedy_report(inst) -> dict:
-    """Greedy plan, with its staircase verdict when the orders exist."""
-    doc = central_plan.plan_to_dict(central_plan.greedy_solve(inst), staircase=True)
-    return {"command": "central-greedy", **doc}
-
-
-def _exact_report(inst) -> dict:
-    doc = central_plan.plan_to_dict(central_plan.exact_solve(inst))
-    return {"command": "central-exact", **doc}
 
 
 def _plan_text(report: dict) -> str:
@@ -241,8 +220,8 @@ def _plan_text(report: dict) -> str:
 
 
 def _compare_report(inst) -> dict:
-    local = _local_report(inst)
-    central = _greedy_report(inst)
+    local = _report("local", inst)
+    central = _report("central-greedy", inst)
     verdict = local["diversification"]
     diversified = (
         verdict["has_diversified_equilibrium"] and not verdict["has_uniform_equilibrium"]
@@ -257,7 +236,6 @@ def _compare_report(inst) -> dict:
         and min(wards_per_hospital.values()) == 0
     )
     return {
-        "command": "compare",
         "verdicts": {
             "diversified_excellences": diversified,
             "poles_of_excellence": poles,
@@ -282,39 +260,51 @@ def _compare_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gen_report(args) -> dict:
-    inst = scenario.generate_scenario(args.seed, args.dims, args.profile)
-    return scenario.instance_to_dict(inst)
-
-
 def _json_text(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _from_input(report):
-    """Build step of a command that reads --input. The library is reached
-    through module attributes at call time, never captured here."""
-    return lambda args: report(scenario.load_scenario(args.input))
-
-
-# command -> (help, build(args) -> report, text renderer), in --help order.
+# command -> (help, report(inst) on a scenario, text renderer), in --help
+# order; gen has no report, it draws the scenario it writes. The library is
+# reached through module attributes at call time, never captured here.
 COMMANDS = {
-    "check": ("run the five assumption checkers", _from_input(_check_report), _check_text),
-    "local": ("local-financing equilibrium analysis",
-              _from_input(_local_report), _local_text),
-    "central-greedy": ("greedy central plan", _from_input(_greedy_report), _plan_text),
-    "central-exact": ("exhaustive central plan", _from_input(_exact_report), _plan_text),
-    "compare": ("run both regimes and compare", _from_input(_compare_report), _compare_text),
-    "gen": ("generate a seeded scenario file", _gen_report, _json_text),
+    "check": ("run the five assumption checkers", _check_report, _check_text),
+    "local": (
+        "local-financing equilibrium analysis",
+        lambda inst: local_game.equilibrium_report_to_dict(inst),
+        _local_text,
+    ),
+    "central-greedy": (  # the greedy plan carries its staircase verdict
+        "greedy central plan",
+        lambda inst: central_plan.plan_to_dict(central_plan.greedy_solve(inst), staircase=True),
+        _plan_text,
+    ),
+    "central-exact": (
+        "exhaustive central plan",
+        lambda inst: central_plan.plan_to_dict(central_plan.exact_solve(inst)),
+        _plan_text,
+    ),
+    "compare": ("run both regimes and compare", _compare_report, _compare_text),
+    "gen": ("generate a seeded scenario file", None, _json_text),
 }
+
+
+def _report(command: str, inst) -> dict:
+    """A command's report on a scenario, under its "command" key."""
+    return {"command": command, **COMMANDS[command][1](inst)}
 
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code."""
-    _, build, text = COMMANDS[args.command]
+    _, report, text = COMMANDS[args.command]
     render = text if args.format == "text" else _json_text
     try:
-        _emit(render(build(args)), args.output)
+        if report is None:
+            inst = scenario.generate_scenario(args.seed, args.dims, args.profile)
+            doc = scenario.instance_to_dict(inst)
+        else:
+            doc = _report(args.command, scenario.load_scenario(args.input))
+        _emit(render(doc), args.output)
     except (InvalidInstanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

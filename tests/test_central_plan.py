@@ -456,6 +456,16 @@ def test_exact_solution_reproducible_by_evaluate():
     assert again.patient_cost_part == sol.patient_cost_part
 
 
+def test_solver_bookkeeping_is_checked_against_evaluation(comparable_market):
+    # a solver's running z that drifts from evaluate_Z of its choice is a bug
+    z = evaluate_Z(EMPTY_EXCELLENCE, comparable_market).z_value
+    with pytest.raises(AssertionError) as info:
+        central_plan._checked_solution(comparable_market, (), z + 1)
+    assert str(info.value) == (
+        f"solver bookkeeping diverged from evaluation: {z} != {z + 1}"
+    )
+
+
 def test_exact_guard():
     # 2^19 subsets of the first ward alone are past the cap
     inst = generate_scenario(0, (19, 1))

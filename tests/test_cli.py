@@ -23,8 +23,10 @@ from conftest import (
     with_budget_share,
 )
 from wardalloc import (
+    GenerationError,
     PayoffTensor,
     build_payoff_tensor,
+    central_plan,
     dumps_scenario,
     enumerate_pure_nash,
     exact_solve,
@@ -34,6 +36,7 @@ from wardalloc import (
     load_scenario,
     local_game,
     save_scenario,
+    scenario,
 )
 from wardalloc.cli import COMMANDS, build_parser, main
 
@@ -134,6 +137,21 @@ def test_gen_unsatisfiable_profile_exits_2(capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert reason in captured.err
+
+
+def test_gen_reports_the_generators_rejection_cap(monkeypatch, capsys):
+    # with no tries allowed, the assumption-1 generator draws no group sizes
+    monkeypatch.setattr("wardalloc.scenario._REJECTION_CAP", 0)
+    reason = "found no admissible group sizes within 0 tries"
+    with pytest.raises(GenerationError, match=reason):
+        generate_scenario(0, (2, 2), "assumption1-satisfying")
+    code, captured = run_cli(
+        "gen", "--seed", "0", "--dims", "2x2", "--profile", "assumption1-satisfying",
+        capsys=capsys,
+    )
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and reason in captured.err
 
 
 def test_gen_rejects_malformed_dims(capsys):
@@ -666,6 +684,53 @@ def test_gen_defaults_to_json_and_input_commands_to_text(capsys):
     for command in COMMANDS.keys() - {"gen"}:
         assert parser.parse_args([command, "--input", "s.json"]).format == "text"
         assert parser.parse_args([command, "-i", "s.json", "--format", "json"]).format == "json"
+
+
+def test_each_command_calls_the_library_once_through_its_modules(
+    scenario_file, monkeypatch, capsys
+):
+    # the benchmark's tracer rebinds these module attributes, so the command
+    # table must look them up at call time and call each as often as below
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("load_scenario", "generate_scenario", "all_assumptions"):
+        count(scenario, name)
+    count(local_game, "equilibrium_report_to_dict")
+    for name in ("greedy_solve", "exact_solve", "plan_to_dict"):
+        count(central_plan, name)
+    expected = {
+        "gen": {"generate_scenario": 1},
+        "check": {"load_scenario": 1, "all_assumptions": 1},
+        "local": {"load_scenario": 1, "equilibrium_report_to_dict": 1},
+        "central-greedy": {"load_scenario": 1, "greedy_solve": 1, "plan_to_dict": 1},
+        "central-exact": {"load_scenario": 1, "exact_solve": 1, "plan_to_dict": 1},
+        "compare": {
+            "load_scenario": 1,
+            "equilibrium_report_to_dict": 1,
+            "greedy_solve": 1,
+            "plan_to_dict": 1,
+        },
+    }
+    assert expected.keys() == COMMANDS.keys()
+    for command, counts in expected.items():
+        calls.clear()
+        if command == "gen":
+            argv = ["gen", "--seed", "0", "--dims", "2x2"]
+        else:
+            argv = [command, "--input", str(scenario_file), "--format", "json"]
+        code, captured = run_cli(*argv, capsys=capsys)
+        assert code == 0, captured.err
+        assert json.loads(captured.out)
+        assert calls == counts, command
 
 
 def test_very_verbose_logs_greedy_work_and_keeps_the_report(planned_file, capsys, caplog):
