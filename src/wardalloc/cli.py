@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation error, 2 size-guard or assumption error
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -99,8 +98,7 @@ def _emit(text: str, path: str | None) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    scenario._write_text(path, text)
     log.info("wrote %s", path)
 
 
@@ -260,13 +258,10 @@ def _compare_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
-
-
 # command -> (help, report(inst) on a scenario, text renderer), in --help
-# order; gen has no report, it draws the scenario it writes. The library is
-# reached through module attributes at call time, never captured here.
+# order; gen has neither, it draws the scenario it writes and writes only
+# JSON. The library is reached through module attributes at call time, never
+# captured here.
 COMMANDS = {
     "check": ("run the five assumption checkers", _check_report, _check_text),
     "local": (
@@ -285,7 +280,7 @@ COMMANDS = {
         _plan_text,
     ),
     "compare": ("run both regimes and compare", _compare_report, _compare_text),
-    "gen": ("generate a seeded scenario file", None, _json_text),
+    "gen": ("generate a seeded scenario file", None, None),
 }
 
 
@@ -297,7 +292,7 @@ def _report(command: str, inst) -> dict:
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code."""
     _, report, text = COMMANDS[args.command]
-    render = text if args.format == "text" else _json_text
+    render = text if args.format == "text" else scenario._json_text
     try:
         if report is None:
             inst = scenario.generate_scenario(args.seed, args.dims, args.profile)

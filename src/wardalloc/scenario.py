@@ -1,5 +1,6 @@
 """Scenario data model: instances, demand derivation, assumption checks,
-seeded generation, and the JSON scenario file format.
+seeded generation, and the JSON scenario file format, whose renderer and
+file writer the CLI's output shares.
 
 Inputs and reports are exact rationals (fractions.Fraction). Inside, each
 instance's costs are scaled to exact ints, ward by ward (ScenarioInstance.
@@ -13,10 +14,12 @@ import json
 import math
 import os
 import random
+import stat
 import sys
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Sequence
 
 from .errors import GenerationError, InstanceTooLargeError, InvalidInstanceError
@@ -765,13 +768,89 @@ def instance_from_dict(doc) -> ScenarioInstance:
     return ScenarioInstance(**{key: doc[key] for key in required})
 
 
+def _render(value, append, pad: str) -> None:
+    """Append value's JSON text to a parts list, nested at pad ("\n" and two
+    spaces per level). A module-level function, so that the recursion forms
+    no reference cycle that would keep the parts alive."""
+    if isinstance(value, str):
+        append(_quote(value))
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif isinstance(value, int):
+        append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            append(sep)
+            append(_quote(key))
+            append(": ")
+            _render(item, append, inner)
+            sep = "," + inner
+        append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            append(sep)
+            _render(item, append, inner)
+            sep = "," + inner
+        append(pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(doc) -> str:
+    """json.dumps(doc, indent=2) + "\n", byte for byte, for documents of str
+    keys and str, int, bool, None, list, tuple and dict values; any other
+    type raises TypeError. json.dumps takes its pure-Python encoder whenever
+    indent is set; this one escapes through the C string escaper."""
+    parts: list[str] = []
+    _render(doc, parts.append, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_text(path, text: str) -> None:
+    """Write text to path as UTF-8, overwriting an existing file in place.
+
+    The file is opened without O_TRUNC and cut to the text's length after
+    the write: on ext4 a file truncated to zero and rewritten is flushed to
+    disk on close, which made each write several times slower. Only regular
+    files are cut (/dev/null, ttys and FIFOs cannot be). A new file gets
+    open()'s mode, 0o666 less the umask; an existing one keeps its mode, and
+    a symlink is written through. Nothing is fsynced, and the write is not
+    atomic."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):  # os.write may write less than asked
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def dumps_scenario(inst: ScenarioInstance) -> str:
-    return json.dumps(instance_to_dict(inst), indent=2) + "\n"
+    return _json_text(instance_to_dict(inst))
 
 
 def save_scenario(inst: ScenarioInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_scenario(inst))
+    _write_text(path, dumps_scenario(inst))
 
 
 def load_scenario(path) -> ScenarioInstance:

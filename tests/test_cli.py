@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import re
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -581,6 +582,106 @@ def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):
     )
     assert code == 0
     assert absolute.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_output_over_a_longer_file_leaves_exactly_the_report(
+    planned_file, tmp_path, capsys, fmt
+):
+    argv = ["compare", "--input", str(planned_file), "--format", fmt]
+    _, captured = run_cli(*argv, capsys=capsys)
+    out = tmp_path / "report"
+    out.write_bytes(b"x" * (3 * len(captured.out) + 1))
+    code, _ = run_cli(*argv, "--output", str(out), capsys=capsys)
+    assert code == 0
+    assert out.read_text() == captured.out
+
+
+def test_output_to_dev_null_exits_0(scenario_file, capsys):
+    code, captured = run_cli(
+        "check", "--input", str(scenario_file), "--output", os.devnull, capsys=capsys
+    )
+    assert code == 0
+    assert captured.err == ""
+
+
+def test_output_keeps_an_existing_files_mode(scenario_file, tmp_path):
+    out = tmp_path / "report.txt"
+    out.write_text("old report\n" * 100)
+    out.chmod(0o640)
+    assert main(["check", "--input", str(scenario_file), "--output", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    # a new file gets open()'s mode: 0o666 less the umask
+    mask = os.umask(0o022)
+    os.umask(mask)
+    new = tmp_path / "new.txt"
+    assert main(["check", "--input", str(scenario_file), "--output", str(new)]) == 0
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~mask
+
+
+def test_output_is_written_through_a_symlink(scenario_file, tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_text("old report\n" * 100)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    argv = ["check", "--input", str(scenario_file)]
+    _, captured = run_cli(*argv, capsys=capsys)
+    code, _ = run_cli(*argv, "--output", str(link), capsys=capsys)
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_text() == captured.out
+
+
+def _record_os_open(monkeypatch):
+    """Wrap os.open; returns the list of (path, flags, fd) of its calls."""
+    calls = []
+    real_open = os.open
+
+    def counting_open(file, flags, *args, **kwargs):
+        fd = real_open(file, flags, *args, **kwargs)
+        calls.append((os.fspath(file), flags, fd))
+        return fd
+
+    monkeypatch.setattr(os, "open", counting_open)
+    return calls
+
+
+def test_outputs_are_never_opened_with_o_trunc(scenario_file, tmp_path, monkeypatch):
+    calls = _record_os_open(monkeypatch)
+    out = tmp_path / "out.json"
+    for argv in (
+        ["gen", "--seed", "1", "--dims", "2x2"],
+        ["gen", "--seed", "2", "--dims", "3x3"],  # a rewrite of an existing file
+        ["check", "--input", str(scenario_file), "--format", "json"],
+    ):
+        assert main([*argv, "--output", str(out)]) == 0
+    assert [path for path, _, _ in calls] == [str(out)] * 3
+    assert not any(flags & os.O_TRUNC for _, flags, _ in calls)
+
+
+def test_a_failed_write_closes_the_file_and_exits_1(
+    scenario_file, tmp_path, monkeypatch, capsys
+):
+    calls = _record_os_open(monkeypatch)
+    closed = []
+    real_close = os.close
+
+    def no_space(fd, data):
+        raise OSError(28, "No space left on device")
+
+    def recording_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "write", no_space)
+    monkeypatch.setattr(os, "close", recording_close)
+    out = tmp_path / "out.txt"
+    code, captured = run_cli(
+        "check", "--input", str(scenario_file), "--output", str(out), capsys=capsys
+    )
+    assert code == 1
+    assert "No space left on device" in captured.err
+    assert [fd for _, _, fd in calls] == closed
 
 
 def test_reports_are_byte_stable(planned_file, tmp_path):

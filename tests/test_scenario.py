@@ -5,6 +5,7 @@ import copy
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
 import tracemalloc
@@ -784,6 +785,47 @@ def test_dump_is_json_with_rational_strings():
     assert "/" in doc["budget"]
 
 
+# Characters json's escaper treats specially: quotes, backslashes, control
+# characters, DEL, non-ASCII, a line separator, a non-BMP character and lone
+# surrogates of both halves.
+_TRICKY = st.sampled_from(
+    ['"', "\\", "/", "\x00", "\n", "\t", "\x1f", "\x7f", "é", "\u2028", "\U0001f600", "\ud800", "\udfff"]
+)
+_JSON_STRINGS = st.lists(_TRICKY | st.characters(exclude_categories=()), max_size=6).map("".join)
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(max_value=-1)
+    | st.integers(min_value=2**64, max_value=2**200)
+    | _JSON_STRINGS
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(
+        _JSON_LEAVES,
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_STRINGS, children, max_size=4),
+        max_leaves=30,
+    )
+)
+def test_json_text_matches_json_dumps_with_indent(doc):
+    assert scenario._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, Fraction(1, 2), {1}, {1: "a"}, {"a": [1, {"b": 0.0}]}, [(None, Fraction(3))]],
+    ids=["float", "fraction", "set", "int-key", "nested-float", "nested-fraction"],
+)
+def test_json_text_refuses_what_no_report_holds(doc):
+    with pytest.raises(TypeError):
+        scenario._json_text(doc)
+
+
 def test_save_and_load(tmp_path):
     inst = generate_scenario(5, (2, 3))
     path = tmp_path / "scenario.json"
@@ -794,6 +836,24 @@ def test_save_and_load(tmp_path):
     assert (tmp_path / "scenario.json").read_bytes() == (
         tmp_path / "again.json"
     ).read_bytes()
+
+
+def test_save_overwrites_a_longer_file_in_place(tmp_path, monkeypatch):
+    inst = generate_scenario(5, (2, 3))
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"x" * (len(dumps_scenario(inst)) * 3))
+    flags = []
+    real_open = os.open
+
+    def counting_open(file, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(file, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    save_scenario(inst, path)
+    # the file holds exactly the new text, written without O_TRUNC
+    assert path.read_text() == dumps_scenario(inst)
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
 
 
 def test_load_accepts_bare_integers(tmp_path):
