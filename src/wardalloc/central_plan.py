@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -140,10 +141,21 @@ def _patient_cost(model: CostModel, current: list[list[int]]) -> Fraction:
     )
 
 
-def _z_change(spent: int, saved: int, price_scale: int, scale: int) -> Fraction:
-    """The exact change in z of upgrades in one ward that cost spent, at the
-    price scale, and save saved, at the ward's scale."""
-    return Fraction(spent * scale - saved * price_scale, price_scale * scale)
+def _z_scale(model: CostModel) -> int:
+    """exact_solve's one denominator for z: the price scale times the least
+    common multiple of the ward scales."""
+    return model.price_scale * math.lcm(*(scale for scale, _ in model.wards))
+
+
+def _nearest_float(n: int, d: int) -> float:
+    """n / d (d > 0) as its nearest float, or as an infinity of its sign past
+    the float range. int true division rounds correctly, and correct rounding
+    never inverts an order: where two such floats differ, their rationals
+    differ the same way."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def _improvements(rows, costs: list[int], qi: int):
@@ -226,13 +238,18 @@ def _greedy_steps(inst: ScenarioInstance, pairs, budget: int):
     no greater than the next key, which bounds every other pair's, it is the
     best pair, else it goes back. Pairs that stop fitting are dropped, since
     spending only grows. Prices and savings are ints at the price and ward
-    scales; a key is their exact difference as a rational."""
+    scales; a key is (nearest float of dz, dz, qi, ri), dz their exact
+    difference as a rational. The float decides where it can
+    (_nearest_float), so most comparisons skip the rational; equal floats
+    fall through to dz, and the pop order is the exact order."""
     model = inst._costs
     wards, prices, price_scale = model.wards, model.prices, model.price_scale
     current = _outside_costs(model)
 
     def keyed(qi, ri, saving):
-        return (_z_change(prices[qi][ri], saving, price_scale, wards[ri].scale), qi, ri)
+        scale = wards[ri].scale
+        n, d = prices[qi][ri] * scale - saving * price_scale, price_scale * scale
+        return _nearest_float(n, d), Fraction(n, d), qi, ri
 
     heap = [
         keyed(qi, ri, _improvements(wards[ri].rows, current[ri], qi)[1])
@@ -244,7 +261,7 @@ def _greedy_steps(inst: ScenarioInstance, pairs, budget: int):
     steps, scored, pushed_back = 0, len(heap), 0
     try:
         while heap:
-            _, qi, ri = heapq.heappop(heap)
+            _, _, qi, ri = heapq.heappop(heap)
             price = prices[qi][ri]
             if spent + price > budget:
                 continue
@@ -255,7 +272,7 @@ def _greedy_steps(inst: ScenarioInstance, pairs, budget: int):
                 heapq.heappush(heap, key)
                 pushed_back += 1
                 continue
-            yield key
+            yield key[1:]
             steps += 1
             spent += price
             for pos, c_in in taken:
@@ -298,14 +315,15 @@ def _keep_better(records):
     return kept
 
 
-def _ward_frontier(model: CostModel, ri: int, outside: list[int]):
+def _ward_frontier(model: CostModel, ri: int, outside: list[int], z_scale: int):
     """Ward ri's Pareto frontier, from its cells' all-outside costs: the
     fitting subsets of its upgrades that no subset spending the same or less
     beats, as (spent, z change, size, -members) records sorted by spending,
     and the number of fitting subsets listed. Subsets are listed depth first,
     so each one's cell costs live until its children are built. A z change is
     compared as an int over price_scale * scale, the same denominator for
-    every subset of the ward, and made a rational only if kept."""
+    every subset of the ward, and returned as an int over z_scale, which
+    that denominator divides."""
     nq, nr = len(model.prices), len(model.wards)
     scale, rows = model.wards[ri]
     budget, price_scale = model.budget, model.price_scale
@@ -322,10 +340,8 @@ def _ward_frontier(model: CostModel, ri: int, outside: list[int]):
                     moved[pos] = c_in
                 bit = 1 << nq * nr - 1 - (qi * nr + ri)
                 stack.append((qi + 1, moved, s + price, saved + saving, size + 1, key - bit))
-    frontier = [
-        (s, Fraction(dz, price_scale * scale), size, key)
-        for s, dz, size, key in _keep_better(subsets)
-    ]
+    unit = z_scale // (price_scale * scale)
+    frontier = [(s, dz * unit, size, key) for s, dz, size, key in _keep_better(subsets)]
     return frontier, len(subsets)
 
 
@@ -342,16 +358,23 @@ def exact_solve(inst: ScenarioInstance) -> PlanSolution:
     list. Each part of a record is a sum over wards (their bits are
     disjoint), and adding the same subset to two plans keeps their order; so
     a subset beaten by one of its ward's subsets that spends no more is in no
-    kept plan. EXACT_ENUMERATION_CAP bounds the kept plans x 2^|Q|, summed
-    over wards: more than the wards list and the merge forms. Cells follow
-    evaluate_Z's rule. Spending and each ward's savings are ints at the price
-    and ward scales; z, which spans wards, is a rational."""
+    kept plan. Plans and frontiers are sorted by spending, so each plan meets
+    only the frontier's prefix that fits the budget. EXACT_ENUMERATION_CAP
+    bounds the kept plans x 2^|Q|, summed over wards: more than the wards list
+    and the merge forms. Cells follow evaluate_Z's rule. Spending is an int at
+    the price scale, and z an int over _z_scale, one denominator for every
+    ward; the chosen plan's z alone is made a rational."""
     nq, nr = inst.num_hospitals, inst.num_wards
     model = inst._costs
     budget = model.budget
     outside = _outside_costs(model)
+    z_scale = _z_scale(model)
+    z = sum(
+        sum(count * c for (count, _, _), c in zip(rows, costs)) * (z_scale // scale)
+        for (scale, rows), costs in zip(model.wards, outside)
+    )
     # plans: (spent, z, size, -members); frontiers: (spent, z change, size, -members)
-    plans = [(0, _patient_cost(model, outside), 0, 0)]
+    plans = [(0, z, 0, 0)]
     formed = listed = on_frontiers = pairs = 0
     try:
         for ri in range(nr):
@@ -361,22 +384,23 @@ def exact_solve(inst: ScenarioInstance) -> PlanSolution:
                     f"ward {inst.wards[ri]!r} would bring the run to {formed} candidate "
                     f"plans, over the exact solver's cap of {EXACT_ENUMERATION_CAP}"
                 )
-            frontier, count = _ward_frontier(model, ri, outside[ri])
+            frontier, count = _ward_frontier(model, ri, outside[ri], z_scale)
             listed += count
             on_frontiers += len(frontier)
-            pairs += len(plans) * len(frontier)
+            spends = [s for s, _, _, _ in frontier]
+            fits = [bisect_right(spends, budget - plan[0]) for plan in plans]
+            pairs += sum(fits)
             plans = _keep_better(
                 (spent + s, z + dz, size + k, key + m)
-                for spent, z, size, key in plans
-                for s, dz, k, m in frontier
-                if spent + s <= budget
+                for (spent, z, size, key), n in zip(plans, fits)
+                for s, dz, k, m in frontier[:n]
             )
     finally:
         message = "exact: subsets listed %d, on ward frontiers %d, plan-subset pairs %d, plans kept %d"
         _debug(__name__, message, listed, on_frontiers, pairs, len(plans))
     _, z, _, key = plans[-1]  # keys fall as spending rises
     chosen = [divmod(i, nr) for i in range(nq * nr) if -key >> nq * nr - 1 - i & 1]
-    return _checked_solution(inst, chosen, z)
+    return _checked_solution(inst, chosen, Fraction(z, z_scale))
 
 
 def ward_order(inst: ScenarioInstance) -> tuple[str, ...]:

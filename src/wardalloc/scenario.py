@@ -4,7 +4,9 @@ file writer the CLI's output shares.
 
 Inputs and reports are exact rationals (fractions.Fraction). Inside, each
 instance's costs are scaled to exact ints, ward by ward (ScenarioInstance.
-_costs). Only central_plan._lp_num compares a float: can the LP text hold it?
+_costs). Floats are compared in two places only: central_plan._lp_num asks
+whether the LP text can hold a value, and greedy's heap orders each key by
+its nearest float (central_plan._nearest_float) before its exact value.
 """
 
 from __future__ import annotations

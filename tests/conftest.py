@@ -20,12 +20,14 @@ from fractions import Fraction
 import pytest
 
 from wardalloc import (
+    PROFILES,
     AssumptionReport,
     InvalidInstanceError,
     PayoffTensor,
     ScenarioInstance,
     Violation,
     central_plan,
+    generate_scenario,
     parse_rational,
 )
 from wardalloc.central_plan import (
@@ -34,7 +36,6 @@ from wardalloc.central_plan import (
     _improvements,
     _outside_costs,
     _patient_cost,
-    _z_change,
 )
 from wardalloc.errors import InstanceTooLargeError
 from wardalloc.scenario import _entries
@@ -372,6 +373,48 @@ def tie_heavy_instance(seed, dims=None):
     )
 
 
+def odd_primes():
+    n = 3
+    found = []
+    while True:
+        if all(n % p for p in found if p * p <= n):
+            found.append(n)
+            yield n
+        n += 2
+
+
+def coprime_instance(seed, dims, profile=PROFILES[0]):
+    """generate_scenario's instance with each cost and the budget moved to a
+    nearby rational over its own odd prime. Under the assumption-4&5 profile
+    a cost shared by every ward (an internal cost, the uniform price) keeps
+    one shared prime, so both assumptions still hold."""
+    inst = generate_scenario(seed, dims, profile)
+    primes = odd_primes()
+    memo = {}
+
+    def own(c, share=None):
+        if share is not None and share in memo:
+            return memo[share]
+        p = next(primes)
+        n = round(c * p)
+        x = Fraction(n + (n % p == 0), p)  # p never divides the numerator
+        if share is not None:
+            memo[share] = x
+        return x
+
+    shared = profile == PROFILES[2]
+    return dataclasses.replace(
+        inst,
+        excel_cost=[[own(c, "price" if shared else None) for c in row] for row in inst.excel_cost],
+        internal_cost=[
+            [[own(c, (d, q) if shared else None) for c in row] for q, row in enumerate(plane)]
+            for d, plane in enumerate(inst.internal_cost)
+        ],
+        out_cost=[[own(c) for c in row] for row in inst.out_cost],
+        budget=own(inst.budget),
+    )
+
+
 def small_denominator_instance(seed, sizes=(0, 1, 2, 3, 4, 6, 12), wards=None):
     """Up to 4x3 game (or 4 hospitals and the given number of wards) with
     populations over a denominator from 2 to 12 and group sizes drawn from
@@ -412,6 +455,12 @@ def unpruned_best(inst):
             if best is None or key < best:
                 best = key
     return best
+
+
+def _z_change(spent: int, saved: int, price_scale: int, scale: int) -> Fraction:
+    """The exact change in z of upgrades in one ward that cost spent, at the
+    price scale, and save saved, at the ward's scale."""
+    return Fraction(spent * scale - saved * price_scale, price_scale * scale)
 
 
 def reference_exact(inst):

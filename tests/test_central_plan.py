@@ -9,10 +9,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SHARES,
     brute_z,
+    coprime_instance,
     make_instance,
     one_ward,
     parse_lp,
@@ -363,6 +366,49 @@ def test_greedy_matches_reference_when_pairs_stop_fitting():
         assert members_of(sol) == {added for added, _, _ in trace}
 
 
+def near_tie_market(magnitude):
+    """2x1 market: upgrading q2 lowers z by magnitude - 1, exactly 1 more
+    than upgrading q1, and the budget buys one upgrade."""
+    return make_instance(
+        (2,),
+        (Fraction(1, 2), Fraction(1, 2)),
+        excel=[[1], [1]],
+        internal=[[[1], [0]], [[0], [0]]],
+        out=[[magnitude], [0]],
+        budget=1,
+    )
+
+
+@pytest.mark.parametrize("magnitude", [10**20, 10**400], ids=["same float", "past floats"])
+def test_greedy_decides_equal_floats_exactly(magnitude):
+    # at 10**20 both z changes round to one float, and at 10**400 neither
+    # has one; the exact z change, not the pair order, must pick q2
+    inst = near_tie_market(magnitude)
+    sol = greedy_solve(inst)
+    assert greedy_trace(sol) == reference_greedy(inst)
+    assert members_of(sol) == {("q2", "r1")}
+
+
+# (numerator, denominator) pairs past the float range both ways
+exponents = st.sampled_from([0, 1, 300, 320, 400])
+rationals = st.builds(
+    lambda n, d, e, f: (n * 10**e, d * 10**f),
+    st.integers(-(10**20), 10**20),
+    st.integers(1, 10**20),
+    exponents,
+    exponents,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rationals, rationals)
+def test_nearest_float_never_inverts_an_order(x, y):
+    (n, d), (m, e) = x, y
+    fx, fy = central_plan._nearest_float(n, d), central_plan._nearest_float(m, e)
+    if fx < fy:  # both orders of each pair are drawn
+        assert n * e < m * d
+
+
 def test_greedy_rescores_only_popped_pairs(monkeypatch):
     # a full rescan at every step scores 24,380 to 85,197 pairs on these
     # instances; lazy scoring scores 803 to 1,578 (evaluate_Z's check included)
@@ -508,8 +554,37 @@ def test_exact_matches_the_subset_merge():
         for profile in PROFILES
         for share in SHARES
     ]
-    for inst in ties + generated:
+    # every cost over its own prime: z's denominator spans all the wards' scales
+    coprime = [
+        with_budget_share(coprime_instance(seed, dims, profile), share)
+        for dims in ((2, 2), (3, 3), (4, 3), (3, 5))
+        for seed in range(2)
+        for profile in PROFILES
+        for share in (Fraction(1, 4), Fraction(1, 2))
+    ]
+    for inst in ties + generated + coprime:
         assert plan_to_dict(exact_solve(inst)) == plan_to_dict(reference_exact(inst))
+
+
+def test_exact_logs_the_pairs_it_merges(monkeypatch, caplog):
+    # the merge meets only each frontier's prefix that fits the budget, and
+    # the logged pair count is the records it hands _keep_better
+    keep_better, merged = central_plan._keep_better, []
+
+    def counted(records):
+        records = list(records)
+        merged.append(len(records))
+        return keep_better(records)
+
+    monkeypatch.setattr(central_plan, "_keep_better", counted)
+    caplog.set_level(logging.DEBUG, logger="wardalloc.central_plan")
+    for seed, share in ((0, Fraction(1, 16)), (1, Fraction(1, 4)), (2, Fraction(1, 2))):
+        merged.clear()
+        caplog.clear()
+        exact_solve(with_budget_share(generate_scenario(seed, (4, 4)), share))
+        (message,) = [r.getMessage() for r in caplog.records]
+        pairs = int(message.split("plan-subset pairs ")[1].split(",")[0])
+        assert pairs == sum(merged[1::2])  # frontier, merge, frontier, merge, ...
 
 
 def brute_ward_frontier(inst, ri):
@@ -551,13 +626,14 @@ def test_ward_frontier_is_the_undominated_subsets():
     ]
     for inst in instances:
         model = inst._costs
+        z_scale = central_plan._z_scale(model)
         n, nr = inst.num_hospitals * inst.num_wards, inst.num_wards
         for ri, outside in enumerate(central_plan._outside_costs(model)):
-            frontier, listed = central_plan._ward_frontier(model, ri, outside)
+            frontier, listed = central_plan._ward_frontier(model, ri, outside, z_scale)
             found = [
                 (
                     Fraction(s, model.price_scale),
-                    dz,
+                    Fraction(dz, z_scale),
                     size,
                     tuple(divmod(i, nr) for i in range(n) if -key >> n - 1 - i & 1),
                 )

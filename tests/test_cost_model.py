@@ -4,7 +4,6 @@ independent oracles, which work on the raw rationals, on generated,
 tie-heavy and coprime-denominator instances, and check that no ward's ints
 carry another ward's denominators."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,6 +12,7 @@ import pytest
 from conftest import (
     SHARES,
     brute_z,
+    coprime_instance,
     make_instance,
     one_ward,
     reference_greedy,
@@ -170,48 +170,6 @@ def test_kernels_match_oracles_on_ties():
 
 # ---------------------------------------------------------------------------
 # coprime denominators
-
-
-def odd_primes():
-    n = 3
-    found = []
-    while True:
-        if all(n % p for p in found if p * p <= n):
-            found.append(n)
-            yield n
-        n += 2
-
-
-def coprime_instance(seed, dims, profile=PROFILES[0]):
-    """generate_scenario's instance with each cost and the budget moved to a
-    nearby rational over its own odd prime. Under the assumption-4&5 profile
-    a cost shared by every ward (an internal cost, the uniform price) keeps
-    one shared prime, so both assumptions still hold."""
-    inst = generate_scenario(seed, dims, profile)
-    primes = odd_primes()
-    memo = {}
-
-    def own(c, share=None):
-        if share is not None and share in memo:
-            return memo[share]
-        p = next(primes)
-        n = round(c * p)
-        x = Fraction(n + (n % p == 0), p)  # p never divides the numerator
-        if share is not None:
-            memo[share] = x
-        return x
-
-    shared = profile == PROFILES[2]
-    return dataclasses.replace(
-        inst,
-        excel_cost=[[own(c, "price" if shared else None) for c in row] for row in inst.excel_cost],
-        internal_cost=[
-            [[own(c, (d, q) if shared else None) for c in row] for q, row in enumerate(plane)]
-            for d, plane in enumerate(inst.internal_cost)
-        ],
-        out_cost=[[own(c) for c in row] for row in inst.out_cost],
-        budget=own(inst.budget),
-    )
 
 
 def test_coprime_denominators_match_oracles():
