@@ -246,15 +246,20 @@ def _greedy_steps(inst: ScenarioInstance, pairs, budget: int):
     wards, prices, price_scale = model.wards, model.prices, model.price_scale
     current = _outside_costs(model)
 
+    # dz = (price * ward scale - saving * price scale) / (price scale * ward
+    # scale); only the saving changes between scorings of a pair
+    scaled_prices = {
+        (qi, ri): prices[qi][ri] * wards[ri].scale for qi, ri in pairs if prices[qi][ri] <= budget
+    }
+    denominators = [price_scale * ward.scale for ward in wards]
+
     def keyed(qi, ri, saving):
-        scale = wards[ri].scale
-        n, d = prices[qi][ri] * scale - saving * price_scale, price_scale * scale
+        n, d = scaled_prices[qi, ri] - saving * price_scale, denominators[ri]
         return _nearest_float(n, d), Fraction(n, d), qi, ri
 
     heap = [
         keyed(qi, ri, _improvements(wards[ri].rows, current[ri], qi)[1])
-        for qi, ri in pairs
-        if prices[qi][ri] <= budget
+        for qi, ri in scaled_prices
     ]
     heapq.heapify(heap)
     spent = 0

@@ -1,7 +1,10 @@
 """Command line for the suite: validate scenarios, analyze either financing
 regime, compare the two, and generate seeded instances.
 
-The commands and their help live in one table, COMMANDS.
+The commands and their help live in one table, COMMANDS, and each
+command's options in another, OPTIONS. A well-formed command line is read
+straight from OPTIONS; help, usage errors and every other spelling go
+through the argparse parser built from the same table.
 Exit codes: 0 success, 1 validation error, 2 size-guard or assumption error
 (a derived number too long to write is a size guard)."""
 
@@ -11,7 +14,8 @@ import argparse
 import logging
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import central_plan, local_game, scenario
@@ -52,9 +56,11 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The command line's parser. When argv names a command, only that
-    command's subparser is added; otherwise (help, no command, an unknown
-    one) all of them are."""
+    """The command line's argparse parser, built from OPTIONS. main builds
+    it only for an argv that _parse_fast refuses: help, a usage error or a
+    less common spelling. When argv names a command, only that command's
+    subparser is added; otherwise (help, no command, an unknown one) all of
+    them are."""
     parser = argparse.ArgumentParser(
         prog="wardalloc",
         description=(
@@ -66,28 +72,60 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
 
     commands = [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS
     for command in commands:
-        help_text, report, _ = COMMANDS[command]
-        p = sub.add_parser(command, help=help_text)
-        if report is None:  # gen draws its scenario and always writes JSON
-            p.add_argument("--seed", type=int, required=True)
-            p.add_argument("--dims", type=_parse_dims, required=True, metavar="QxR")
-            p.add_argument(
-                "--profile", choices=scenario.PROFILES, default=scenario.PROFILE_UNCONSTRAINED
-            )
-            p.set_defaults(format="json")
-        else:
-            p.add_argument("--input", "-i", required=True, help="scenario JSON file")
-            p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument(
-            "--output",
-            "-o",
-            help=(
-                "output file; stdout when omitted. A relative path is joined "
-                f"with ${ENV_OUTPUT_DIR} when that is set."
-            ),
-        )
-        p.add_argument("--verbose", "-v", action="count", default=0)
+        p = sub.add_parser(command, help=COMMANDS[command][0])
+        for opt in OPTIONS[command]:
+            if not opt.flags:
+                p.set_defaults(**{opt.dest: opt.default})
+            elif opt.counted:
+                p.add_argument(*opt.flags, dest=opt.dest, action="count", default=opt.default)
+            else:
+                p.add_argument(
+                    *opt.flags,
+                    dest=opt.dest,
+                    type=opt.type,
+                    choices=opt.choices,
+                    default=opt.default,
+                    required=opt.required,
+                    metavar=opt.metavar,
+                    help=opt.help,
+                )
     return parser
+
+
+def _parse_fast(argv: Sequence[str]) -> argparse.Namespace | None:
+    """parse_args's namespace for a well-formed argv, read from OPTIONS
+    without argparse; None for any other argv. Well-formed: a command, then
+    each option as one of its exact spellings, a value option at most once
+    and its value the next token, which does not start with "-"; every value
+    converts and is among the choices, and no required option is missing."""
+    if not argv or argv[0] not in OPTIONS:
+        return None
+    options = OPTIONS[argv[0]]
+    by_flag = {flag: opt for opt in options for flag in opt.flags}
+    values = {opt.dest: opt.default for opt in options}
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        opt = by_flag.get(token)
+        if opt is None:
+            return None
+        if opt.counted:
+            values[opt.dest] += 1
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-") or opt.dest in given:
+            return None
+        given.add(opt.dest)
+        try:
+            value = text if opt.type is None else opt.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+    if any(opt.required and opt.dest not in given for opt in options):
+        return None
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -283,6 +321,52 @@ COMMANDS = {
     "gen": ("generate a seeded scenario file", None, None),
 }
 
+@dataclass(frozen=True)
+class _Option:
+    """One option of a command, as argparse's add_argument takes it. An
+    option with no spellings is a fixed value of the namespace."""
+
+    flags: tuple[str, ...]
+    dest: str
+    type: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    required: bool = False
+    counted: bool = False  # a flag counted per use, not one taking a value
+    metavar: str | None = None
+    help: str | None = None
+
+
+_OUTPUT = _Option(
+    ("--output", "-o"),
+    "output",
+    help=(
+        "output file; stdout when omitted. A relative path is joined "
+        f"with ${ENV_OUTPUT_DIR} when that is set."
+    ),
+)
+_VERBOSE = _Option(("--verbose", "-v"), "verbose", default=0, counted=True)
+_INPUT_OPTIONS = (
+    _Option(("--input", "-i"), "input", required=True, help="scenario JSON file"),
+    _Option(("--format",), "format", choices=("text", "json"), default="text"),
+    _OUTPUT,
+    _VERBOSE,
+)
+
+
+# command -> its options in --help order, the one source of both parsers
+OPTIONS = {command: _INPUT_OPTIONS for command in COMMANDS}
+OPTIONS["gen"] = (
+    _Option(("--seed",), "seed", type=int, required=True),
+    _Option(("--dims",), "dims", type=_parse_dims, required=True, metavar="QxR"),
+    _Option(
+        ("--profile",), "profile", choices=scenario.PROFILES, default=scenario.PROFILE_UNCONSTRAINED
+    ),
+    _Option((), "format", default="json"),  # gen always writes JSON
+    _OUTPUT,
+    _VERBOSE,
+)
+
 
 def _report(command: str, inst) -> dict:
     """A command's report on a scenario, under its "command" key."""
@@ -311,9 +395,11 @@ def run(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, extra = build_parser(argv).parse_known_args(argv)
-    if extra:  # reported under the usage line that lists every command
-        args = build_parser().parse_args(argv)
+    args = _parse_fast(argv)
+    if args is None:
+        args, extra = build_parser(argv).parse_known_args(argv)
+        if extra:  # reported under the usage line that lists every command
+            args = build_parser().parse_args(argv)
     # basicConfig only adds the handler once; the level is set on every call
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     log.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
