@@ -4,18 +4,24 @@ file writer the CLI's output shares.
 
 Inputs and reports are exact rationals (fractions.Fraction). Inside, each
 instance's costs are scaled to exact ints, ward by ward (ScenarioInstance.
-_costs). Floats are compared in two places only: central_plan._lp_num asks
-whether the LP text can hold a value, and greedy's heap orders each key by
-its nearest float (central_plan._nearest_float) before its exact value.
+_costs). The |Q|^2|R| internal costs are held as flat lists of normalized
+integer ratios: a loaded file's plain "n/d" strings are parsed into them
+plane by plane, and their Fraction table is built only if something reads
+ScenarioInstance.internal_cost. Floats are compared in two places only:
+central_plan._lp_num asks whether the LP text can hold a value, and
+greedy's heap orders each key by its nearest float
+(central_plan._nearest_float) before its exact value.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
 import random
+import re
 import stat
 import sys
 import time
@@ -48,6 +54,11 @@ _A1_GROUP_SIZES = range(500, 1600)
 # every numerator and denominator, so that each input value can be printed.
 _MAX_DIGITS = 4300
 _TOO_LONG = 10**_MAX_DIGITS  # the smallest int of more than _MAX_DIGITS digits
+
+# Plain "n/d" values joined by "\n", each as _plain accepts it but for its
+# non-zero denominator: ASCII digits, 1 to _MAX_DIGITS of them on each side.
+_PLAIN_VALUE = rf"[0-9]{{1,{_MAX_DIGITS}}}/[0-9]{{1,{_MAX_DIGITS}}}"
+_PLAIN_LINES = re.compile(rf"{_PLAIN_VALUE}(?:\n{_PLAIN_VALUE})*")
 
 
 def _plain(value: str) -> Fraction | None:
@@ -113,10 +124,22 @@ def format_rational(x: Fraction) -> str:
     try:
         return f"{x.numerator}/{x.denominator}"
     except ValueError:  # the interpreter's limit on the digits of an int string
-        raise InstanceTooLargeError(
-            "a derived value has more than the interpreter's limit of "
-            f"{sys.get_int_max_str_digits()} digits, too long to write"
-        ) from None
+        raise _too_long_to_write() from None
+
+
+def _ratio_texts(nums, dens) -> list[str]:
+    """Each numerator over its denominator, as format_rational writes it."""
+    try:
+        return [f"{n}/{d}" for n, d in zip(nums, dens)]
+    except ValueError:
+        raise _too_long_to_write() from None
+
+
+def _too_long_to_write() -> InstanceTooLargeError:
+    return InstanceTooLargeError(
+        "a derived value has more than the interpreter's limit of "
+        f"{sys.get_int_max_str_digits()} digits, too long to write"
+    )
 
 
 def _entries(values, name: str, count: int | None = None):
@@ -190,6 +213,59 @@ def _rationals(values, name: str, shape: tuple[int, ...]):
     return tuple(row)
 
 
+def _plain_ratios(table, nq: int, nr: int) -> tuple[list[int], list[int]] | None:
+    """An internal-cost table of plain "n/d" strings (see _plain), nq planes
+    of nq rows of nr, as flat lists of normalized numerators and
+    denominators in [district][hospital][ward] order, parsed in bulk one
+    plane at a time, each distinct string once; None for any other table,
+    which _rationals then walks to name its first bad element."""
+    if type(table) not in (list, tuple) or len(table) != nq:
+        return None
+    nums, dens = [], []
+    for plane in table:
+        if type(plane) not in (list, tuple) or len(plane) != nq:
+            return None
+        if any(type(row) not in (list, tuple) or len(row) != nr for row in plane):
+            return None
+        values = list(itertools.chain.from_iterable(plane))
+        try:
+            text = "\n".join(values)
+        except TypeError:  # a value that is not a string
+            return None
+        # assumptions 4 and 5 repeat each cost along the ward axis
+        distinct = dict.fromkeys(values)
+        if len(distinct) < len(values):
+            text = "\n".join(distinct)
+        if _PLAIN_LINES.fullmatch(text) is None:
+            return None
+        parts = text.replace("\n", "/").split("/")
+        if len(parts) != 2 * len(distinct):  # a value held the separator
+            return None
+        try:
+            plane_nums, plane_dens = list(map(int, parts[::2])), list(map(int, parts[1::2]))
+        except ValueError:  # the interpreter's digit limit set below _MAX_DIGITS
+            return None
+        if 0 in plane_dens:
+            return None
+        gcds = list(map(math.gcd, plane_nums, plane_dens))
+        if gcds.count(1) != len(gcds):
+            plane_nums = [n // g for n, g in zip(plane_nums, gcds)]
+            plane_dens = [d // g for d, g in zip(plane_dens, gcds)]
+        if len(distinct) < len(values):
+            plane_nums = list(map(dict(zip(distinct, plane_nums)).__getitem__, values))
+            plane_dens = list(map(dict(zip(distinct, plane_dens)).__getitem__, values))
+        nums += plane_nums
+        dens += plane_dens
+    return nums, dens
+
+
+def _nested(flat, nq: int, nr: int, kind=tuple):
+    """A flat [district][hospital][ward] list as nq planes of nq rows of nr,
+    each level a `kind` (tuple or list)."""
+    rows = [kind(flat[i : i + nr]) for i in range(0, len(flat), nr)]
+    return kind(kind(rows[i : i + nq]) for i in range(0, len(rows), nq))
+
+
 @dataclass(frozen=True)
 class DemandCell:
     """Patients of one ward type living in one district.
@@ -224,6 +300,13 @@ class ScenarioInstance:
     The constructor is the only validator: it takes lists or tuples and any
     rational parse_rational accepts, checks each field once, and raises an
     invalid-instance error naming the first bad element.
+
+    internal_cost is held as flat normalized integer ratios (_internal_ratios),
+    which the cost model, check_assumption4 and instance_to_dict read. A table
+    given to the constructor is kept as validated. A table of plain "n/d"
+    strings, as a scenario file holds it, is parsed straight into the ratios,
+    and its Fraction table, one Fraction object per distinct value, is built
+    the first time internal_cost is read.
     """
 
     hospitals: tuple[str, ...]
@@ -259,16 +342,44 @@ class ScenarioInstance:
         budget = parse_rational(self.budget, "budget")
         if budget < 0:
             raise InvalidInstanceError(f"budget: must be non-negative, got {budget}")
+        excel_cost = _rationals(self.excel_cost, "excel_cost", (nq, nr))
+        ratios = _plain_ratios(self.internal_cost, nq, nr)
+        if ratios is None:
+            internal_cost = _rationals(self.internal_cost, "internal_cost", (nq, nq, nr))
+            object.__setattr__(self, "internal_cost", internal_cost)
+        else:  # __getattr__ builds the table from the ratios if it is read
+            object.__setattr__(self, "_internal_ratios", ratios)
+            object.__delattr__(self, "internal_cost")
         parsed = {
             "population": population,
             "group_sizes": group_sizes,
-            "excel_cost": _rationals(self.excel_cost, "excel_cost", (nq, nr)),
-            "internal_cost": _rationals(self.internal_cost, "internal_cost", (nq, nq, nr)),
+            "excel_cost": excel_cost,
             "out_cost": _rationals(self.out_cost, "out_cost", (nq, nr)),
             "budget": budget,
         }
         for name, value in parsed.items():
             object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance lacks: internal_cost is
+        # one when __post_init__ parsed it straight into ratios
+        ratios = self.__dict__.get("_internal_ratios") if name == "internal_cost" else None
+        if ratios is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        nums, dens = ratios
+        made = {key: Fraction(*key) for key in set(zip(nums, dens))}
+        values = list(map(made.__getitem__, zip(nums, dens)))
+        table = _nested(values, self.num_hospitals, self.num_wards)
+        object.__setattr__(self, "internal_cost", table)
+        return table
+
+    @functools.cached_property
+    def _internal_ratios(self) -> tuple[list[int], list[int]]:
+        """internal_cost as flat lists of normalized numerators and
+        denominators, [district][hospital][ward] order. __post_init__ sets
+        them when it parses the table; this builds them from a given one."""
+        values = [x for plane in self.internal_cost for row in plane for x in row]
+        return [x.numerator for x in values], [x.denominator for x in values]
 
     @property
     def num_hospitals(self) -> int:
@@ -317,19 +428,22 @@ class ScenarioInstance:
         The one place that looks up a cell's costs: the solvers and checkers
         read cells through this, one ward's rows at a time, since an upgrade
         in ward r moves only ward-r patients. A scale per ward keeps each int
-        free of the other wards' denominators."""
+        free of the other wards' denominators. Internal costs come from the
+        flat ratios (_internal_ratios), so no Fraction table is built."""
         start = time.perf_counter()
+        nq, nr = self.num_hospitals, self.num_wards
+        nums, dens = self._internal_ratios
         wards = []
         for ri, size in enumerate(self.group_sizes):
             outs = [row[ri].as_integer_ratio() for row in self.out_cost]
-            internals = [
-                [c[ri].as_integer_ratio() for c in plane] for plane in self.internal_cost
-            ]
-            scale = math.lcm(*(d for _, d in outs), *(d for row in internals for _, d in row))
+            # ward ri's internal costs, [district][hospital] row-major
+            ward_nums, ward_dens = nums[ri::nr], dens[ri::nr]
+            scale = math.lcm(*(d for _, d in outs), *ward_dens)
+            internal = _scaled(zip(ward_nums, ward_dens), scale)
             counts = largest_remainder_split(size, self.population)
             rows = tuple(
-                (count, out, _scaled(internal, scale))
-                for count, out, internal in zip(counts, _scaled(outs, scale), internals)
+                (count, out, internal[k : k + nq])
+                for count, out, k in zip(counts, _scaled(outs, scale), range(0, nq * nq, nq))
             )
             wards.append(WardCosts(scale, rows))
         prices = [[c.as_integer_ratio() for c in row] for row in self.excel_cost]
@@ -531,20 +645,24 @@ def check_assumption3(inst: ScenarioInstance) -> AssumptionReport:
 def check_assumption4(inst: ScenarioInstance) -> AssumptionReport:
     """Internal patient costs do not depend on the ward type. The report holds
     the first cost, by district, hospital and ward, unequal to ward 0's, found
-    by normalized integer ratios (Fraction == runs the numbers.Rational check)."""
-    for d, plane in enumerate(inst.internal_cost):
-        for q, (base, *others) in enumerate(plane):
-            ratio = base.as_integer_ratio()
-            for r, value in enumerate(others, 1):
-                if value.as_integer_ratio() != ratio:
-                    where = {
-                        "district": inst.hospitals[d],
-                        "hospital": inst.hospitals[q],
-                        "ward": inst.wards[0],
-                        "other_ward": inst.wards[r],
-                    }
-                    witness = Violation("internal-cost-depends-on-ward", where, base, value)
-                    return AssumptionReport(4, (witness,))
+    by normalized integer ratios; only the witness's two sides are Fractions."""
+    nums, dens = inst._internal_ratios
+    nq, nr = inst.num_hospitals, inst.num_wards
+    for k in range(0, len(nums), nr):
+        row_nums, row_dens = nums[k : k + nr], dens[k : k + nr]
+        n, d = row_nums[0], row_dens[0]
+        if row_nums.count(n) == nr and row_dens.count(d) == nr:
+            continue
+        r = next(r for r in range(1, nr) if row_nums[r] != n or row_dens[r] != d)
+        district, hospital = divmod(k // nr, nq)
+        where = {
+            "district": inst.hospitals[district],
+            "hospital": inst.hospitals[hospital],
+            "ward": inst.wards[0],
+            "other_ward": inst.wards[r],
+        }
+        lhs, rhs = Fraction(n, d), Fraction(row_nums[r], row_dens[r])
+        return AssumptionReport(4, (Violation("internal-cost-depends-on-ward", where, lhs, rhs),))
     return AssumptionReport(4, ())
 
 
@@ -747,10 +865,15 @@ def _to_json(value):
 
 def instance_to_dict(inst: ScenarioInstance) -> dict:
     """JSON-ready document: the schema version, then every instance field in
-    declaration order; rationals become "num/den" strings."""
+    declaration order; rationals become "num/den" strings, the internal
+    costs straight from their ratios."""
     doc = {"schema": SCHEMA_VERSION}
     for field in fields(ScenarioInstance):
-        doc[field.name] = _to_json(getattr(inst, field.name))
+        if field.name == "internal_cost":
+            texts = _ratio_texts(*inst._internal_ratios)
+            doc[field.name] = _nested(texts, inst.num_hospitals, inst.num_wards, list)
+        else:
+            doc[field.name] = _to_json(getattr(inst, field.name))
     return doc
 
 

@@ -2,12 +2,15 @@
 seeded generation, and the JSON scenario format."""
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
 import os
+import pickle
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -46,6 +49,7 @@ from wardalloc import (
     save_scenario,
     scenario,
 )
+from wardalloc.central_plan import evaluate_Z, export_ilp, greedy_solve
 from wardalloc.cli import main
 from wardalloc.scenario import PROFILES, _a1_failures
 
@@ -414,16 +418,21 @@ def tie_heavy_costs(rng, nr):
 
 def assert_rules_match_fraction_forms(inst):
     """Assumption 1's failures, each ward's split and assumption 4's report
-    equal what their Fraction forms give, messages included."""
+    equal what their Fraction forms give, messages included; assumption 4
+    also on the instance loaded back from its file, whose internal costs
+    are parsed straight into ratios."""
     sizes, population = inst.group_sizes, inst.population
     assert list(_a1_failures(sizes, population)) == list(
         reference_a1_failures(sizes, population)
     )
     for size in sizes:
         assert largest_remainder_split(size, population) == reference_split(size, population)
-    got, expected = check_assumption4(inst), reference_assumption4(inst)
-    assert got == expected
-    assert [v.message for v in got.violations] == [v.message for v in expected.violations]
+    expected = reference_assumption4(inst)
+    for checked in (inst, instance_from_dict(json.loads(dumps_scenario(inst)))):
+        got = check_assumption4(checked)
+        assert got == expected
+        assert [v.message for v in got.violations] == [v.message for v in expected.violations]
+        assert all(type(v.lhs) is type(v.rhs) is Fraction for v in got.violations)
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -1088,8 +1097,11 @@ def leaf_outcome(build):
 
 
 def assert_leaf_walk_matches_reference(build):
+    # the reference parses every leaf on its own, internal costs included:
+    # with no bulk parse, they go through _rationals like the other fields
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenario, "_rationals", reference_rationals)
+        patch.setattr(scenario, "_plain_ratios", lambda table, nq, nr: None)
         expected = leaf_outcome(build)
     assert leaf_outcome(build) == expected
 
@@ -1153,3 +1165,200 @@ def test_loaded_a45_file_holds_one_fraction_per_internal_cost_row(tmp_path):
     save_scenario(generate_scenario(0, (4, 5), "assumption4&5-satisfying"), path)
     inst = load_scenario(path)
     assert [len({id(x) for x in row}) for plane in inst.internal_cost for row in plane] == [1] * 16
+
+
+# ---------------------------------------------------------------------------
+# internal costs parsed in bulk, and their Fraction table built on first read
+
+# Plain "n/d" strings, leading zeros, zero numerators and zero denominators
+# included; a few fixed ones make repeats along a row and across rows common.
+PLAIN_LEAVES = st.sampled_from(["1/2", "3/6", "0/5", "007/0010"]) | st.builds(
+    lambda zeros, num, den: f"{'0' * zeros[0]}{num}/{'0' * zeros[1]}{den}",
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(0, 10**12),
+    st.integers(0, 10**6),
+)
+# Values the bulk parse must leave to the walk, and plain ones at its digit
+# bound, in four kinds: separators inside a value, digit counts and digits,
+# other strings, and values that are not strings.
+ODD_VALUES = (
+    ("1/2\n3/4", "1/2\n", "\n", "1/2/3", "1/2\n3", "4\n1/2"),
+    (
+        "3/0", "0/0", "1" * 4300 + "/7", "7/" + "9" * 4300, "0" * 4300 + "/1",
+        "1" * 4301 + "/7", "7/" + "9" * 4301, "١/٢", "1/２", "²/3",
+    ),
+    (
+        "/2", "1/", "", " 1/2", "1/2 ", "1 /2", "1/ 2", "1.5", "0.25", "2.5e-3", "1e3",
+        "1E+2", "1e5000", "-1/2", "+1/2", "1_000/3",
+    ),
+    (True, False, None, 0, 7, -3, Fraction(3, 4), Fraction(-1, 2), 1.5, [], ["1/2"], {}),
+)
+ODD_LEAVES = st.one_of(*map(st.sampled_from, ODD_VALUES))
+
+
+def reshaped(table, edit, d, q):
+    """The table with one shape edit at plane d, row q."""
+    if edit == "short row":
+        table[d][q].pop()
+    elif edit == "long row":
+        table[d][q].append("1/2")
+    elif edit == "short plane":
+        table[d].pop()
+    elif edit == "string row":  # as many characters as the row had values
+        table[d][q] = "7" * len(table[d][q])
+    elif edit == "tuple plane":
+        table[d] = tuple(map(tuple, table[d]))
+    elif edit == "tuple table":
+        table = tuple(table)
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bulk_parse_matches_the_reference_walk(data):
+    # a generated document whose internal costs are drawn: plain strings with
+    # up to two odd values planted and at most one shape edit; the outcome,
+    # instance and file bytes or error message, is the reference walk's
+    nq, nr = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    cell = st.tuples(st.integers(0, nq - 1), st.integers(0, nq - 1), st.integers(0, nr - 1))
+    table = [[[data.draw(PLAIN_LEAVES) for _ in range(nr)] for _ in range(nq)] for _ in range(nq)]
+    for d, q, r in data.draw(st.lists(cell, max_size=2)):
+        table[d][q][r] = data.draw(ODD_LEAVES)
+    edit = data.draw(
+        st.just("none")
+        | st.sampled_from(
+            ["short row", "long row", "short plane", "string row", "tuple plane", "tuple table"]
+        )
+    )
+    d, q, _ = data.draw(cell)
+    doc = instance_to_dict(generate_scenario(0, (nq, nr)))
+    doc["internal_cost"] = reshaped(table, edit, d, q)
+    assert_leaf_walk_matches_reference(lambda: instance_from_dict(doc))
+
+
+@pytest.mark.parametrize("profile", [PROFILES[0], PROFILES[2]])
+def test_each_odd_value_in_a_plain_table_matches_the_reference_walk(profile):
+    # each odd value at the first and at the last internal cost of a file
+    # otherwise plain, with repeated values (assumption 4&5) and without
+    base = instance_to_dict(generate_scenario(0, (2, 3), profile))
+    for value in itertools.chain.from_iterable(ODD_VALUES):
+        for d, q, r in [(0, 0, 0), (1, 1, 2)]:
+            doc = copy.deepcopy(base)
+            doc["internal_cost"][d][q][r] = value
+            assert_leaf_walk_matches_reference(lambda: instance_from_dict(doc))
+
+
+@pytest.mark.parametrize("limit", [0, 1000, 5000])
+def test_digit_bound_matches_the_reference_walk_under_any_int_limit(limit):
+    # the interpreter's int-string limit unset, below and above _MAX_DIGITS:
+    # both loaders refuse more digits alike, or fail alike in int()
+
+    def outcome(build):
+        try:
+            return leaf_outcome(build)
+        except ValueError as exc:
+            return repr(exc)
+
+    base = instance_to_dict(generate_scenario(0, (2, 2)))
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for value in ODD_VALUES[1]:
+            doc = copy.deepcopy(base)
+            doc["internal_cost"][1][0][1] = value
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(scenario, "_plain_ratios", lambda table, nq, nr: None)
+                expected = outcome(lambda: instance_from_dict(doc))
+            assert outcome(lambda: instance_from_dict(doc)) == expected
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+def test_commands_on_a_loaded_file_build_no_internal_cost_table(tmp_path, monkeypatch):
+    # every instance loaded by a command, or here for evaluate_Z and
+    # export_ilp, still holds its internal costs as ratios alone
+    loaded = []
+    load = scenario.load_scenario
+
+    def kept(path):
+        loaded.append(load(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(scenario, "load_scenario", kept)
+    codes = []
+    for dims in [(3, 3), (20, 20)]:
+        path = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(0, dims), path)
+        for command in ("central-greedy", "central-exact", "check", "compare"):
+            argv = [command, "--input", str(path), "--format", "json"]
+            codes.append(main([*argv, "--output", str(tmp_path / "report.json")]))
+        inst = scenario.load_scenario(path)
+        chosen = greedy_solve(inst).excellence
+        assert evaluate_Z(chosen, inst).z_value > 0
+        assert export_ilp(inst, chosen)
+    # at 20x20, central-exact and the local game of compare stop at their caps
+    assert codes == [0, 0, 0, 0, 0, 2, 0, 2]
+    assert len(loaded) == 10
+    assert not any("internal_cost" in vars(inst) for inst in loaded)
+
+
+def test_loaded_instance_behaves_as_one_built_from_fractions(tmp_path):
+    built = generate_scenario(0, (3, 4))
+    path = tmp_path / "scenario.json"
+    save_scenario(built, path)
+    copies = {
+        "itself": lambda inst: inst,
+        "replace": dataclasses.replace,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda inst: pickle.loads(pickle.dumps(inst)),
+    }
+    for read_first in (False, True):
+        for name, copied in copies.items():
+            inst = load_scenario(path)
+            if read_first:
+                assert inst.internal_cost == built.internal_cost
+            got = copied(inst)
+            assert ("internal_cost" in vars(got)) == (read_first or name == "replace"), name
+            assert got == built and built == got, name
+            assert repr(got) == repr(built), name
+            assert hash(got) == hash(built), name
+            assert dumps_scenario(got) == dumps_scenario(built), name
+            assert check_assumption4(got) == check_assumption4(built), name
+    for name in ("internal_costs", "_internal_cost", "__setstate__"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(load_scenario(path), name)
+    # an instance without state, as unpickling makes it first, lacks it too
+    with pytest.raises(AttributeError, match="has no attribute 'internal_cost'"):
+        ScenarioInstance.__new__(ScenarioInstance).internal_cost
+
+
+def test_loaded_internal_cost_table_holds_one_fraction_per_distinct_value(tmp_path):
+    path = tmp_path / "scenario.json"
+    doc = instance_to_dict(generate_scenario(0, (2, 2)))
+    doc["internal_cost"] = [[["1/2", "2/4"], ["0/5", "1/2"]], [["0/1", "3/4"], ["6/8", "1/2"]]]
+    path.write_text(json.dumps(doc))
+    table = load_scenario(path).internal_cost
+    values = [x for plane in table for row in plane for x in row]
+    assert values == [Fraction(n, d) for n, d in [(1, 2), (1, 2), (0, 1), (1, 2), (0, 1),
+                                                   (3, 4), (3, 4), (1, 2)]]
+    assert all(type(x) is Fraction for x in values)
+    assert len({id(x) for x in values}) == len(set(values)) == 3
+
+
+def test_loading_a_30x20_file_peaks_no_higher_than_the_fraction_walk(tmp_path):
+    # the walk is the loader without the bulk parse: one Fraction per value
+    path = tmp_path / "30x20.json"
+    save_scenario(generate_scenario(0, (30, 20)), path)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            load_scenario(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "_plain_ratios", lambda table, nq, nr: None)
+        walked = peak()
+    assert peak() <= walked
