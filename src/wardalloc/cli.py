@@ -4,7 +4,7 @@ regime, compare the two, and generate seeded instances.
 The commands and their help live in one table, COMMANDS, and each
 command's options in another, OPTIONS. A well-formed command line is read
 straight from OPTIONS; help, usage errors and every other spelling go
-through the argparse parser built from the same table.
+through the one argparse parser, built whole from the same table.
 Exit codes: 0 success, 1 validation error, 2 size-guard or assumption error
 (a derived number too long to write is a size guard)."""
 
@@ -55,12 +55,10 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return nq, nr
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The command line's argparse parser, built from OPTIONS. main builds
-    it only for an argv that _parse_fast refuses: help, a usage error or a
-    less common spelling. When argv names a command, only that command's
-    subparser is added; otherwise (help, no command, an unknown one) all of
-    them are."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command line's argparse parser, with every command's subparser,
+    built from OPTIONS. main builds it only for an argv that _parse_fast
+    refuses: help, a usage error or a less common spelling."""
     parser = argparse.ArgumentParser(
         prog="wardalloc",
         description=(
@@ -70,8 +68,7 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    commands = [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS
-    for command in commands:
+    for command in COMMANDS:
         p = sub.add_parser(command, help=COMMANDS[command][0])
         for opt in OPTIONS[command]:
             if not opt.flags:
@@ -396,10 +393,8 @@ def run(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_fast(argv)
-    if args is None:
-        args, extra = build_parser(argv).parse_known_args(argv)
-        if extra:  # reported under the usage line that lists every command
-            args = build_parser().parse_args(argv)
+    if args is None:  # help, a usage error or another spelling
+        args = build_parser().parse_args(argv)
     # basicConfig only adds the handler once; the level is set on every call
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     log.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])

@@ -4,12 +4,12 @@ file writer the CLI's output shares.
 
 Inputs and reports are exact rationals (fractions.Fraction). Inside, each
 instance's costs are scaled to exact ints, ward by ward (ScenarioInstance.
-_costs). The |Q|^2|R| internal costs are held as flat lists of normalized
-integer ratios: a loaded file's plain "n/d" strings are parsed into them
-plane by plane, and their Fraction table is built only if something reads
-ScenarioInstance.internal_cost. Floats are compared in two places only:
-central_plan._lp_num asks whether the LP text can hold a value, and
-greedy's heap orders each key by its nearest float
+_costs). Every instance holds its |Q|^2|R| internal costs as flat lists of
+normalized integer ratios, set when it is built: a loaded file's plain "n/d"
+strings are parsed into them plane by plane, and their Fraction table is
+built only if something reads ScenarioInstance.internal_cost. Floats are
+compared in two places only: central_plan._lp_num asks whether the LP text
+can hold a value, and greedy's heap orders each key by its nearest float
 (central_plan._nearest_float) before its exact value.
 """
 
@@ -55,28 +55,27 @@ _A1_GROUP_SIZES = range(500, 1600)
 _MAX_DIGITS = 4300
 _TOO_LONG = 10**_MAX_DIGITS  # the smallest int of more than _MAX_DIGITS digits
 
-# Plain "n/d" values joined by "\n", each as _plain accepts it but for its
-# non-zero denominator: ASCII digits, 1 to _MAX_DIGITS of them on each side.
+# A plain "n/d" value: ASCII digits, 1 to _MAX_DIGITS of them on each side.
+# _plain reads one value by it, and _plain_ratios a plane of them joined by "\n".
 _PLAIN_VALUE = rf"[0-9]{{1,{_MAX_DIGITS}}}/[0-9]{{1,{_MAX_DIGITS}}}"
+_PLAIN = re.compile(_PLAIN_VALUE)
 _PLAIN_LINES = re.compile(rf"{_PLAIN_VALUE}(?:\n{_PLAIN_VALUE})*")
 
 
 def _plain(value: str) -> Fraction | None:
-    """A plain "n/d" of ASCII digits, d non-zero and each part of at most
-    _MAX_DIGITS digits, parsed as two ints, which gives what Fraction(str)
-    gives; None for any other string. Its value is never negative, and its
-    digit counts bound both parts."""
+    """A plain "n/d" (_PLAIN_VALUE) with d non-zero, parsed as two ints,
+    which gives what Fraction(str) gives; None for any other string, and for
+    digits that the interpreter's int-string limit refuses, which
+    parse_rational then reports. Its value is never negative, and its digit
+    counts bound both parts."""
+    if _PLAIN.fullmatch(value) is None:
+        return None
     num, _, den = value.partition("/")
-    if (
-        value.isascii()
-        and num.isdigit()
-        and den.isdigit()
-        and len(num) <= _MAX_DIGITS
-        and len(den) <= _MAX_DIGITS
-        and den.strip("0")
-    ):
-        return Fraction(int(num), int(den))
-    return None
+    try:
+        num, den = int(num), int(den)
+    except ValueError:  # the interpreter's digit limit set below _MAX_DIGITS
+        return None
+    return Fraction(num, den) if den else None
 
 
 def parse_rational(value, name: str = "value") -> Fraction:
@@ -301,12 +300,14 @@ class ScenarioInstance:
     rational parse_rational accepts, checks each field once, and raises an
     invalid-instance error naming the first bad element.
 
-    internal_cost is held as flat normalized integer ratios (_internal_ratios),
-    which the cost model, check_assumption4 and instance_to_dict read. A table
-    given to the constructor is kept as validated. A table of plain "n/d"
-    strings, as a scenario file holds it, is parsed straight into the ratios,
-    and its Fraction table, one Fraction object per distinct value, is built
-    the first time internal_cost is read.
+    Every instance holds internal_cost as flat lists of normalized
+    numerators and denominators in [district][hospital][ward] order
+    (_internal_ratios), set by the constructor, which the cost model,
+    check_assumption4 and instance_to_dict read. A table of plain "n/d"
+    strings, as a scenario file holds it, is parsed straight into the
+    ratios, and its Fraction table, one Fraction object per distinct value,
+    is built the first time internal_cost is read. Any other table is kept
+    as validated, and the ratios are read off it.
     """
 
     hospitals: tuple[str, ...]
@@ -347,9 +348,11 @@ class ScenarioInstance:
         if ratios is None:
             internal_cost = _rationals(self.internal_cost, "internal_cost", (nq, nq, nr))
             object.__setattr__(self, "internal_cost", internal_cost)
+            values = [x for plane in internal_cost for row in plane for x in row]
+            ratios = [x.numerator for x in values], [x.denominator for x in values]
         else:  # __getattr__ builds the table from the ratios if it is read
-            object.__setattr__(self, "_internal_ratios", ratios)
             object.__delattr__(self, "internal_cost")
+        object.__setattr__(self, "_internal_ratios", ratios)
         parsed = {
             "population": population,
             "group_sizes": group_sizes,
@@ -372,14 +375,6 @@ class ScenarioInstance:
         table = _nested(values, self.num_hospitals, self.num_wards)
         object.__setattr__(self, "internal_cost", table)
         return table
-
-    @functools.cached_property
-    def _internal_ratios(self) -> tuple[list[int], list[int]]:
-        """internal_cost as flat lists of normalized numerators and
-        denominators, [district][hospital][ward] order. __post_init__ sets
-        them when it parses the table; this builds them from a given one."""
-        values = [x for plane in self.internal_cost for row in plane for x in row]
-        return [x.numerator for x in values], [x.denominator for x in values]
 
     @property
     def num_hospitals(self) -> int:

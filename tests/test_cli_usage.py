@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_readme import fenced
 
-from wardalloc.cli import COMMANDS, OPTIONS, _parse_fast, build_parser, main
+from wardalloc.cli import COMMANDS, ENV_OUTPUT_DIR, OPTIONS, _parse_fast, build_parser, main
 from wardalloc.scenario import PROFILES, generate_scenario, save_scenario
 
 TOP_USAGE = (
@@ -151,15 +151,18 @@ def count_parsers(monkeypatch, argv) -> int:
 
 
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "gen"])
-def test_an_input_command_builds_only_its_own_parser(command, tmp_path, monkeypatch, capsys):
+def test_another_spelling_builds_the_whole_parser_and_prints_the_same(
+    command, tmp_path, monkeypatch, capsys
+):
     # a well-formed argv builds no parser; another spelling builds the
-    # top-level parser and the command's subparser, not all six subparsers
+    # top-level parser and all six subparsers, and answers alike
     path = tmp_path / "s.json"
     save_scenario(generate_scenario(0, (2, 2)), path)
     assert count_parsers(monkeypatch, [command, "--input", str(path)]) == 0
-    assert capsys.readouterr().out
-    assert count_parsers(monkeypatch, [command, f"--input={path}"]) == 2
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out
+    assert count_parsers(monkeypatch, [command, f"--input={path}"]) == 1 + len(COMMANDS)
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("argv", [["--help"], [], ["foo"]])
@@ -227,7 +230,10 @@ def quick_start_argvs():
 
 
 BENCHMARK_ARGVS = [  # the argv shapes wardbench's harness passes to main
-    ["gen", "--seed", "0", "--dims", "2x3", "--profile", PROFILES[2], "--output", "o.json"],
+    *(
+        ["gen", "--seed", "0", "--dims", "2x3", "--profile", profile, "--output", "o.json"]
+        for profile in PROFILES
+    ),
     *(
         [command, "--input", "s.json", "--format", "json", "--output", "o.json"]
         for command in COMMANDS
@@ -250,6 +256,16 @@ def test_fast_parser_takes_the_common_command_lines(argv):
     args = _parse_fast(argv)
     assert args is not None
     assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGVS, ids=" ".join)
+def test_the_benchmark_command_lines_build_no_parser(argv, tmp_path, monkeypatch):
+    # run for real, in a directory that holds the scenario file they name
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    save_scenario(generate_scenario(0, (2, 2)), "s.json")
+    assert count_parsers(monkeypatch, argv) == 0
+    assert (tmp_path / "o.json").read_text()
 
 
 @pytest.mark.parametrize(

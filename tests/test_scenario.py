@@ -1251,25 +1251,34 @@ def test_each_odd_value_in_a_plain_table_matches_the_reference_walk(profile):
 @pytest.mark.parametrize("limit", [0, 1000, 5000])
 def test_digit_bound_matches_the_reference_walk_under_any_int_limit(limit):
     # the interpreter's int-string limit unset, below and above _MAX_DIGITS:
-    # both loaders refuse more digits alike, or fail alike in int()
-
-    def outcome(build):
-        try:
-            return leaf_outcome(build)
-        except ValueError as exc:
-            return repr(exc)
-
+    # in each rational field, both loaders refuse more digits alike, with an
+    # invalid-instance error naming the field, never a bare ValueError
     base = instance_to_dict(generate_scenario(0, (2, 2)))
+    places = [  # the path to one value of each rational field
+        ("budget",),
+        ("population", 1),
+        ("excel_cost", 0, 1),
+        ("internal_cost", 1, 0, 1),
+        ("out_cost", 1, 0),
+    ]
+    too_long = "1" * 2000 + "/7"
     default = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
-        for value in ODD_VALUES[1]:
-            doc = copy.deepcopy(base)
-            doc["internal_cost"][1][0][1] = value
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(scenario, "_plain_ratios", lambda table, nq, nr: None)
-                expected = outcome(lambda: instance_from_dict(doc))
-            assert outcome(lambda: instance_from_dict(doc)) == expected
+        for value in [*ODD_VALUES[1], too_long]:
+            for field, *path in places:
+                doc = copy.deepcopy(base)
+                holder, key = doc, field
+                for index in path:
+                    holder, key = holder[key], index
+                holder[key] = value
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(scenario, "_plain_ratios", lambda table, nq, nr: None)
+                    expected = leaf_outcome(lambda: instance_from_dict(doc))
+                assert leaf_outcome(lambda: instance_from_dict(doc)) == expected
+                if limit == 1000 and value == too_long:
+                    assert expected.startswith(f"InvalidInstanceError: {field}")
+                    assert "cannot parse rational" in expected
     finally:
         sys.set_int_max_str_digits(default)
 
@@ -1312,12 +1321,27 @@ def test_loaded_instance_behaves_as_one_built_from_fractions(tmp_path):
         "deepcopy": copy.deepcopy,
         "pickle": lambda inst: pickle.loads(pickle.dumps(inst)),
     }
+    # every instance holds its internal costs as ratios from the start: one
+    # built from Fractions, and one loaded from a file whose internal costs
+    # also hold an int and a decimal string, each kept with its table
+    doc = instance_to_dict(built)
+    doc["internal_cost"][0][0][0], doc["internal_cost"][2][1][3] = 3, "2.25"
+    (tmp_path / "mixed.json").write_text(json.dumps(doc))
+    mixed = load_scenario(tmp_path / "mixed.json")
+    written = json.loads(dumps_scenario(mixed))["internal_cost"]
+    assert (written[0][0][0], written[2][1][3]) == ("3/1", "9/4")
+    for inst in (built, mixed):
+        for name, copied in copies.items():
+            got = copied(inst)
+            assert "_internal_ratios" in vars(got) and "internal_cost" in vars(got), name
+            assert got == inst and dumps_scenario(got) == dumps_scenario(inst), name
     for read_first in (False, True):
         for name, copied in copies.items():
             inst = load_scenario(path)
             if read_first:
                 assert inst.internal_cost == built.internal_cost
             got = copied(inst)
+            assert "_internal_ratios" in vars(got), name
             assert ("internal_cost" in vars(got)) == (read_first or name == "replace"), name
             assert got == built and built == got, name
             assert repr(got) == repr(built), name
