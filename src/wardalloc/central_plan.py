@@ -12,10 +12,8 @@ import heapq
 import math
 import sys
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain, islice, repeat
 
 from .errors import (
     AssumptionViolationError,
@@ -533,20 +531,31 @@ def _lp_num(n: int, scale: int, row: str, var: str | None = None) -> str:
     raise InstanceTooLargeError(f"LP row {row}: {what} is too {size} to write")
 
 
-def _lp_expr(
-    row: str, terms: Iterable[tuple[int, int, str]], fallback_var: str
-) -> Iterator[str]:
-    """Render row `row`'s (coefficient, its scale, variable) terms, six per
-    line, skipping zeros, one line at a time."""
-    rendered = (f"{_lp_num(n, scale, row, var)} {var}" for n, scale, var in terms if n)
-    yield f" {row}: " + " + ".join(list(islice(rendered, 6)) or [f"0 {fallback_var}"])
-    while chunk := list(islice(rendered, 6)):
-        yield "   + " + " + ".join(chunk)
+# Below this bound a scale and every |n| at it cannot trip _lp_num's guard:
+# n / scale is a normal float, and n // scale has at most 302 digits.
+_LP_SAFE = 1 << 1000
 
 
-def export_ilp(
-    inst: ScenarioInstance, forced_excellence: ExcellenceSet | None = None
-) -> str:
+def _lp_terms(ns: list[int], scale: int, row: str, names: list[str]) -> list[str]:
+    """Row `row`'s "coefficient name" terms of a block of coefficients n /
+    scale, zeros skipped, by _lp_num's rule. The guard is checked once for a
+    block that cannot trip it, else value by value, naming the variable."""
+    if scale < _LP_SAFE and max(map(abs, ns)) < _LP_SAFE:  # _lp_num's rule, less the guard
+        return [f"{n // scale} {v}" if n % scale == 0 else f"{n / scale!r} {v}"
+                for n, v in zip(ns, names) if n]
+    return [f"{_lp_num(n, scale, row, v)} {v}" for n, v in zip(ns, names) if n]
+
+
+def _lp_row(row: str, terms: list[str]) -> str:
+    """Row `row`'s terms, six per line; "0 y_0_0" when there are none."""
+    terms = terms or ["0 y_0_0"]
+    lines = list(map(" + ".join, zip(*[iter(terms)] * 6)))  # the full lines
+    if rest := terms[len(lines) * 6 :]:
+        lines.append(" + ".join(rest))
+    return f" {row}: " + "\n   + ".join(lines)
+
+
+def export_ilp(inst: ScenarioInstance, forced_excellence: ExcellenceSet | None = None) -> str:
     """Serialize the planning problem as a CPLEX-LP text model.
 
     One binary y per (hospital, ward) upgrade, one binary x per (cell,
@@ -560,52 +569,42 @@ def export_ilp(
     forced_excellence pins those y variables to 1 via the bounds section
     (fix-and-solve cross checks).
 
-    Each section is joined as soon as it is rendered, and each count * cost
-    term is made only when its line is, so the text's pieces do not outlive
-    their section.
+    A ward's names and lines are templates, filled in per cell by one
+    str.replace; coefficients are written a block at a time, the prices or a
+    ward's cells (_lp_terms). Each section is joined once it is rendered.
     """
     nq, nr = inst.num_hospitals, inst.num_wards
     model = inst._costs
     ys = [f"y_{qi}_{ri}" for qi in range(nq) for ri in range(nr)]
     prices = [p for row in model.prices for p in row]
+    districts = [str(di) for di in range(nq)]  # a ward's cells, one per district
 
-    cells = []  # (cell, ward index, x names, xout name) per demand cell
-    for ri, (_, rows) in enumerate(model.wards):
-        for di in range(len(rows)):
-            cell = f"{di}_{ri}"
-            cells.append((cell, ri, [f"x_{cell}_{qi}" for qi in range(nq)], f"xout_{cell}"))
+    templates = []  # per ward: names, assign line, link lines, Binary lines of cell "#_ri"
+    for ri in range(nr):
+        xs = [f"x_#_{ri}_{qi}" for qi in range(nq)]
+        names = " ".join(xs) + f" xout_#_{ri}"
+        links = "\n".join(f" link{x[1:]}: {x} - y_{qi}_{ri} <= 0" for qi, x in enumerate(xs))
+        assign = f" assign_#_{ri}: xout_#_{ri} + " + " + ".join(xs) + " = 1"
+        templates.append((names, assign, links, " " + names.replace(" ", "\n ")))
+
+    def filled(part: int) -> list[str]:  # template `part` of every cell, in cell order
+        return [templates[ri][part].replace("#", d) for ri in range(nr) for d in districts]
 
     def objective():  # every variable once, the y terms first
-        yield from zip(prices, repeat(model.price_scale), ys)
-        rows = (row for _, ward_rows in model.wards for row in ward_rows)  # in cells' order
-        for (count, out, internal), (_, ri, xs, xout) in zip(rows, cells):
-            scale = model.wards[ri][0]
-            yield from zip((count * c for c in internal), repeat(scale), xs)
-            yield count * out, scale, xout
+        terms = _lp_terms(prices, model.price_scale, "obj", ys)
+        for (scale, rows), (names, *_) in zip(model.wards, templates):
+            ns = [count * c for count, out, internal in rows for c in (*internal, out)]
+            names = " ".join([names.replace("#", d) for d in districts]).split(" ")
+            terms += _lp_terms(ns, scale, "obj", names)
+        return terms
 
-    def section(*parts) -> str:
-        return "\n".join(chain(*parts))
-
-    sections = [
-        section(["Minimize"], _lp_expr("obj", objective(), ys[0])),
-        section(
-            ["Subject To"],
-            (f" assign_{cell}: {xout} + " + " + ".join(xs) + " = 1" for cell, _, xs, xout in cells),
-        ),
-    ]
+    sections = ["Minimize\n" + _lp_row("obj", objective()), "\n".join(["Subject To", *filled(1)])]
     # prices and budget at the price scale are the budget row's exact ints
-    budget = list(_lp_expr("budget", zip(prices, repeat(1), ys), ys[0]))
-    budget[-1] += f" <= {_lp_num(model.budget, 1, 'budget')}"
-    links = (
-        f" link_{cell}_{qi}: {x} - {ys[qi * nr + ri]} <= 0"
-        for cell, ri, xs, _ in cells
-        for qi, x in enumerate(xs)
-    )
-    sections.append(section(links, budget))
+    budget = _lp_row("budget", _lp_terms(prices, 1, "budget", ys))
+    sections.append("\n".join([*filled(2), f"{budget} <= {_lp_num(model.budget, 1, 'budget')}"]))
     forced = () if forced_excellence is None else forced_excellence._indices(inst)
-    sections.append(section(["Bounds"], (f" {ys[qi * nr + ri]} = 1" for qi, ri in forced)))
-    variables = chain(ys, (v for _, _, xs, xout in cells for v in (*xs, xout)))
-    sections.append(section(["Binary"], (f" {v}" for v in variables), ["End", ""]))
+    sections.append("\n".join(["Bounds", *(f" {ys[qi * nr + ri]} = 1" for qi, ri in forced)]))
+    sections.append("\n".join(["Binary", " " + "\n ".join(ys), *filled(3), "End", ""]))
     return "\n".join(sections)
 
 

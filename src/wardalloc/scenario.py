@@ -434,7 +434,8 @@ class ScenarioInstance:
             # ward ri's internal costs, [district][hospital] row-major
             ward_nums, ward_dens = nums[ri::nr], dens[ri::nr]
             scale = math.lcm(*(d for _, d in outs), *ward_dens)
-            internal = _scaled(zip(ward_nums, ward_dens), scale)
+            at_scale = ward_dens.count(scale) == len(ward_dens)  # then keep each numerator
+            internal = tuple(ward_nums) if at_scale else _scaled(zip(ward_nums, ward_dens), scale)
             counts = largest_remainder_split(size, self.population)
             rows = tuple(
                 (count, out, internal[k : k + nq])

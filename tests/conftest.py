@@ -10,12 +10,15 @@ that parses every value on its own, the local game's payoffs against
 shares summed as Fractions and its equilibria against LPT, the greedy order
 of load balancing on related machines, and the LP export against a tiny
 standalone CPLEX-LP parser plus an external MILP solver when one is
-installed.
+installed, and the LP export's text against the per-term writer it
+replaced (reference_export_ilp).
 """
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from itertools import chain, islice, repeat
 
 import pytest
 
@@ -28,12 +31,15 @@ from wardalloc import (
     Violation,
     central_plan,
     generate_scenario,
+    instance_from_dict,
+    instance_to_dict,
     parse_rational,
 )
 from wardalloc.central_plan import (
     EXACT_ENUMERATION_CAP,
     _checked_solution,
     _improvements,
+    _lp_num,
     _outside_costs,
     _patient_cost,
 )
@@ -353,6 +359,11 @@ def with_budget_share(inst, share):
     return dataclasses.replace(inst, budget=total * share)
 
 
+def as_file(inst):
+    """The instance as a scenario file holds it, loaded back."""
+    return instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+
+
 def tie_heavy_instance(seed, dims=None):
     """Small instance full of cost ties: internal and outside costs in 0..2,
     one uniform upgrade cost, small groups; up to 3x3 unless dims are given."""
@@ -508,6 +519,67 @@ def reference_exact(inst):
     _, z, _, key = plans[-1]  # keys fall as spending rises
     chosen = [divmod(i, nr) for i in range(nq * nr) if -key >> nq * nr - 1 - i & 1]
     return _checked_solution(inst, chosen, z)
+
+
+# ---------------------------------------------------------------------------
+# the LP export as written before its templates: one term at a time
+
+
+def _reference_lp_expr(row, terms, fallback_var):
+    """Render row `row`'s (coefficient, its scale, variable) terms, six per
+    line, skipping zeros, one line at a time."""
+    rendered = (f"{_lp_num(n, scale, row, var)} {var}" for n, scale, var in terms if n)
+    yield f" {row}: " + " + ".join(list(islice(rendered, 6)) or [f"0 {fallback_var}"])
+    while chunk := list(islice(rendered, 6)):
+        yield "   + " + " + ".join(chunk)
+
+
+def reference_export_ilp(inst, forced_excellence=None):
+    """export_ilp as it was before its templates and coefficient blocks:
+    every name and line formatted on its own, and every coefficient written
+    by _lp_num, its guard checked term by term."""
+    nq, nr = inst.num_hospitals, inst.num_wards
+    model = inst._costs
+    ys = [f"y_{qi}_{ri}" for qi in range(nq) for ri in range(nr)]
+    prices = [p for row in model.prices for p in row]
+
+    cells = []  # (cell, ward index, x names, xout name) per demand cell
+    for ri, (_, rows) in enumerate(model.wards):
+        for di in range(len(rows)):
+            cell = f"{di}_{ri}"
+            cells.append((cell, ri, [f"x_{cell}_{qi}" for qi in range(nq)], f"xout_{cell}"))
+
+    def objective():  # every variable once, the y terms first
+        yield from zip(prices, repeat(model.price_scale), ys)
+        rows = (row for _, ward_rows in model.wards for row in ward_rows)  # in cells' order
+        for (count, out, internal), (_, ri, xs, xout) in zip(rows, cells):
+            scale = model.wards[ri][0]
+            yield from zip((count * c for c in internal), repeat(scale), xs)
+            yield count * out, scale, xout
+
+    def section(*parts):
+        return "\n".join(chain(*parts))
+
+    sections = [
+        section(["Minimize"], _reference_lp_expr("obj", objective(), ys[0])),
+        section(
+            ["Subject To"],
+            (f" assign_{cell}: {xout} + " + " + ".join(xs) + " = 1" for cell, _, xs, xout in cells),
+        ),
+    ]
+    budget = list(_reference_lp_expr("budget", zip(prices, repeat(1), ys), ys[0]))
+    budget[-1] += f" <= {_lp_num(model.budget, 1, 'budget')}"
+    links = (
+        f" link_{cell}_{qi}: {x} - {ys[qi * nr + ri]} <= 0"
+        for cell, ri, xs, _ in cells
+        for qi, x in enumerate(xs)
+    )
+    sections.append(section(links, budget))
+    forced = () if forced_excellence is None else forced_excellence._indices(inst)
+    sections.append(section(["Bounds"], (f" {ys[qi * nr + ri]} = 1" for qi, ri in forced)))
+    variables = chain(ys, (v for _, _, xs, xout in cells for v in (*xs, xout)))
+    sections.append(section(["Binary"], (f" {v}" for v in variables), ["End", ""]))
+    return "\n".join(sections)
 
 
 # ---------------------------------------------------------------------------

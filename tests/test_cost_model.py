@@ -11,12 +11,14 @@ import pytest
 
 from conftest import (
     SHARES,
+    as_file,
     brute_z,
     coprime_instance,
     make_instance,
     one_ward,
     reference_greedy,
     reference_hospital_order,
+    small_denominator_instance,
     tie_heavy_instance,
     unpruned_best,
     with_budget_share,
@@ -179,23 +181,51 @@ def test_coprime_denominators_match_oracles():
         assert_matches_oracles(coprime_instance(1, (3, 3), profile))
 
 
-def test_each_ward_carries_only_its_own_scale():
-    inst = coprime_instance(0, (6, 6))
+# Per case, whether every ward's internal costs are at its scale already (so
+# the model keeps their numerators as loaded) or none's are, or None for a mix.
+SCALE_CASES = {
+    **{
+        f"generated {profile}": (lambda p=profile: as_file(generate_scenario(0, (6, 6), p)), at)
+        for profile, at in zip(PROFILES, (True, True, False))
+    },
+    "coprime": (lambda: coprime_instance(0, (6, 6)), False),
+    "small-denominator": (lambda: small_denominator_instance(3), True),
+}
+
+
+@pytest.mark.parametrize("case", SCALE_CASES)
+def test_each_ward_carries_only_its_own_scale(case):
+    make, all_at_scale = SCALE_CASES[case]
+    inst = make()
+    nq, nr = inst.num_hospitals, inst.num_wards
     model = inst._costs
+    nums, dens = inst._internal_ratios
+    at_scale = []
     for ri, (scale, rows) in enumerate(model.wards):
-        own = [inst.out_cost[d][ri] for d in range(6)]
-        own += [inst.internal_cost[d][q][ri] for d in range(6) for q in range(6)]
+        own = [inst.out_cost[d][ri] for d in range(nq)]
+        own += [inst.internal_cost[d][q][ri] for d in range(nq) for q in range(nq)]
         assert scale == math.lcm(*(c.denominator for c in own))
-        others = [c for row in inst.out_cost for r, c in enumerate(row) if r != ri]
-        others += [
-            c for plane in inst.internal_cost for row in plane for r, c in enumerate(row) if r != ri
-        ]
-        assert all(math.gcd(scale, c.denominator) == 1 for c in others)
+        if case == "coprime":  # no other ward's denominator divides it
+            others = [c for row in inst.out_cost for r, c in enumerate(row) if r != ri]
+            others += [
+                c
+                for plane in inst.internal_cost
+                for row in plane
+                for r, c in enumerate(row)
+                if r != ri
+            ]
+            assert all(math.gcd(scale, c.denominator) == 1 for c in others)
         for d, (count, out, internal) in enumerate(rows):
             assert Fraction(out, scale) == inst.out_cost[d][ri]
             assert [Fraction(c, scale) for c in internal] == [
-                inst.internal_cost[d][q][ri] for q in range(6)
+                inst.internal_cost[d][q][ri] for q in range(nq)
             ]
+            # a value at the scale is its loaded numerator object
+            loaded = [(d * nq + q) * nr + ri for q in range(nq)]
+            assert all(c is nums[k] for c, k in zip(internal, loaded) if dens[k] == scale)
+        at_scale.append(dens[ri::nr].count(scale) == len(dens[ri::nr]))
+    if all_at_scale is not None:
+        assert at_scale == [all_at_scale] * nr
     prices = [c for row in inst.excel_cost for c in row]
     assert model.price_scale == math.lcm(inst.budget.denominator, *(c.denominator for c in prices))
     assert [Fraction(p, model.price_scale) for row in model.prices for p in row] == prices

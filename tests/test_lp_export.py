@@ -1,26 +1,42 @@
-"""LP export checks: its bytes are pinned on generated instances, and the
-model it writes scores what evaluate_Z and exact_solve score."""
+"""LP export checks: its bytes are pinned on generated instances and equal
+the per-term writer's on every kind of instance, and the model it writes
+scores what evaluate_Z and exact_solve score."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from conftest import SHARES, solve_lp_external, with_budget_share
+from conftest import (
+    SHARES,
+    as_file,
+    coprime_instance,
+    reference_export_ilp,
+    small_denominator_instance,
+    solve_lp_external,
+    tie_heavy_instance,
+    with_budget_share,
+)
 from wardalloc import (
     EMPTY_EXCELLENCE,
     PROFILES,
     ExcellenceSet,
+    InstanceTooLargeError,
     admissible,
     evaluate_Z,
     exact_solve,
     export_ilp,
     generate_scenario,
     greedy_solve,
+    instance_from_dict,
+    instance_to_dict,
 )
+from wardalloc.central_plan import _LP_SAFE, _lp_num, _lp_terms
 
 # SHA-256 of export_ilp(inst), and of export_ilp(inst, greedy's set) for the
 # keys ending in "greedy", with inst = generate_scenario(seed, dims, profile).
@@ -141,9 +157,10 @@ def test_export_bytes_are_pinned(key):
     "args", [(0, (30, 20)), (0, (20, 20), "assumption4&5-satisfying")], ids=["30x20", "20x20-a45"]
 )
 def test_export_peaks_below_four_times_its_text(args):
-    # each section is joined once it is rendered and no count * cost term is
-    # kept, so the traced peak stays a small multiple of the text; it was
-    # about 5.6x while every term lived until the final join
+    # each section is joined once it is rendered, so the traced peak stays a
+    # small multiple of the text: about 2.1x with the per-ward templates, 2.9x
+    # while every line was formatted on its own, and 5.6x while every term
+    # lived until the final join
     inst = generate_scenario(*args)
     inst._costs  # the instance's cost model, built before the trace
     tracemalloc.start()
@@ -152,7 +169,116 @@ def test_export_peaks_below_four_times_its_text(args):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * len(text)
+    assert peak <= 2.5 * len(text)
+
+
+def with_costs(inst, seed):
+    """inst with internal and outside costs drawn from 0, 1/2, 1 and 3/2, so
+    that zero terms are common."""
+    rng = random.Random(seed)
+    nq, nr = inst.num_hospitals, inst.num_wards
+
+    def draw():
+        return Fraction(rng.randint(0, 3), 2)
+
+    internal = [[[draw() for _ in range(nr)] for _ in range(nq)] for _ in range(nq)]
+    out = [[draw() for _ in range(nr)] for _ in range(nq)]
+    return dataclasses.replace(inst, internal_cost=internal, out_cost=out)
+
+
+# Instances on which export_ilp must write what the per-term writer writes.
+WRITER_CASES = {
+    **{
+        f"generated {profile} {q}x{r}": lambda p=profile, d=(q, r): [
+            as_file(generate_scenario(seed, d, p)) for seed in range(2)
+        ]
+        for profile in PROFILES
+        for q, r in [(2, 2), (3, 5), (6, 4), (10, 8), (30, 20)]
+    },
+    # large ward scales, so non-integral coefficients are floats
+    **{
+        f"coprime {profile}": lambda p=profile: [
+            coprime_instance(0, (3, 4), p),
+            coprime_instance(1, (6, 6), p),
+        ]
+        for profile in PROFILES
+    },
+    "tie-heavy": lambda: [tie_heavy_instance(seed) for seed in range(30)],
+    # zero counts and zero costs: skipped zero terms move the line breaks
+    "small-denominator": lambda: [
+        with_costs(small_denominator_instance(seed, wards=3), seed) for seed in range(30)
+    ],
+}
+
+
+def outcome(call, *args):
+    """call's result, or its size-guard error as text."""
+    try:
+        return call(*args)
+    except InstanceTooLargeError as exc:
+        return f"InstanceTooLargeError: {exc}"
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_export_writes_what_the_per_term_writer_writes(case):
+    for inst in WRITER_CASES[case]():
+        for forced in (None, greedy_solve(inst).excellence):
+            assert outcome(export_ilp, inst, forced) == outcome(reference_export_ilp, inst, forced)
+
+
+def guard_case(field, index, value, budget=None):
+    """The seed-1 4x3 generated file with the value of field at index set
+    to value, and its budget set too when one is given."""
+    doc = instance_to_dict(generate_scenario(1, (4, 3)))
+    *outer, last = index
+    functools.reduce(lambda table, i: table[i], outer, doc[field])[last] = value
+    if budget is not None:
+        doc["budget"] = budget
+    return instance_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "inst, message",
+    [
+        # 10**400 / 3 is beyond the largest float
+        pytest.param(guard_case("excel_cost", (2, 1), f"1{'0' * 400}/3"),
+                     "LP row obj: the coefficient of y_2_1 is too large to write", id="y"),
+        # internal_cost[d][q][r] is x_d_r_q's; the cell's count, 69, is no multiple of 7
+        pytest.param(guard_case("internal_cost", (1, 2, 1), f"1{'0' * 400}/7"),
+                     "LP row obj: the coefficient of x_1_1_2 is too large to write", id="x"),
+        # a non-zero count times 10**-400 has 0 as its nearest float
+        pytest.param(guard_case("out_cost", (3, 2), f"1/1{'0' * 400}"),
+                     "LP row obj: the coefficient of xout_3_2 is too small to write", id="xout"),
+        # 10**4299 writes in the objective; times the price scale, a
+        # multiple of 10, it has more digits than Python writes
+        pytest.param(guard_case("excel_cost", (0, 2), "1e4299", budget="1/10"),
+                     "LP row budget: the coefficient of y_0_2 is too large to write",
+                     id="budget-coefficient"),
+        pytest.param(guard_case("excel_cost", (0, 0), "1/7", budget="9e4299"),
+                     "LP row budget: the right-hand side is too large to write",
+                     id="budget-rhs"),
+    ],
+)
+def test_size_guard_names_the_one_value_out_of_range(inst, message):
+    # every other value of the file writes, so the error is this value's
+    assert inst._costs.wards[1].rows[1][0] == 69  # the count of x_1_1_2's cell
+    assert outcome(export_ilp, inst) == f"InstanceTooLargeError: {message}"
+    assert outcome(reference_export_ilp, inst) == f"InstanceTooLargeError: {message}"
+
+
+def test_block_terms_are_lp_num_terms_at_the_bound():
+    edge = _LP_SAFE - 1
+    ns = [0, 1, -1, 7, 4, 2**999 + 1, edge - 1, edge, -edge, 10**301, 0, 3]
+    names = [f"v{i}" for i in range(len(ns))] + ["past"]
+
+    def per_term(block, scale):
+        return [f"{_lp_num(n, scale, 'obj', v)} {v}" for n, v in zip(block, names) if n]
+
+    # in range, and past it: an int that writes at scale 1, and one that no
+    # scale writes
+    for block in (ns, [*ns, _LP_SAFE], [*ns, 10**4299], [*ns, 10**4300]):
+        for scale in (1, 3, 4, 10**300, edge, _LP_SAFE):
+            assert outcome(_lp_terms, block, scale, "obj", names) == outcome(per_term, block, scale)
 
 
 SOLVER_CASES = [
